@@ -35,6 +35,7 @@ from .tuples import (
     apply_index_map,
     collapse_map,
     ofo,
+    pullback_remap,
     render_tuple,
 )
 
@@ -61,6 +62,9 @@ EXHAUSTIVE_GUARD = 1 << 24
 
 # Largest single table (k**n entries) the harness will materialize.
 TABLE_SIZE_GUARD = 1 << 20
+
+# Largest permutation remap (n! * k**n entries) a classifier will build.
+REMAP_GUARD = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,11 @@ class TableClassifier:
     """Precomputed index machinery for classifying every table of one shape.
 
     Value vectors are handled as ``bytes`` (when the codomain fits) so a sweep
-    over b**(k**n) tables stays cheap; canonical minor forms and fiber
-    constancy results are memoized across the sweep.
+    over b**(k**n) tables stays cheap; canonical minor forms are memoized
+    across the sweep.  Fiber tests are not memoized: a permuted table is
+    ofo-determined exactly when the table itself is constant on every ofo
+    fiber mapped back through the permutation, and those mapped fiber
+    systems are built once here.
     """
 
     def __init__(self, domain_size: int, codomain_size: int, arity: int):
@@ -114,56 +121,41 @@ class TableClassifier:
         self.size = k**n
         if self.size > TABLE_SIZE_GUARD:
             raise ValueError(f"table size {self.size} exceeds guard {TABLE_SIZE_GUARD}")
+        remap_entries = math.factorial(n) * self.size
+        if remap_entries > REMAP_GUARD:
+            raise ValueError(
+                f"{remap_entries} permutation remap entries (n! * k**n) exceed "
+                f"guard {REMAP_GUARD}"
+            )
         self.pack = bytes if b <= 256 else tuple
 
-        domain = list(all_tuples(k, n))
-        sub_domain = list(all_tuples(k, n - 1))
-
         self.perms = list(permutations(range(n)))
-        self.perm_remaps = [
-            [self._encode(tuple(t[j] for j in sig), k) for t in domain]
-            for sig in self.perms
-        ]
-
+        self.perm_remaps = [pullback_remap(k, sig, n) for sig in self.perms]
         self.pairs = list(IndexPair.all_pairs(n))
-        self.minor_remaps = []
-        for pair in self.pairs:
-            images = collapse_map(pair, n).images
-            self.minor_remaps.append(
-                [self._encode(tuple(a[j] for j in images), k) for a in sub_domain]
-            )
-
+        self.minor_remaps = [
+            pullback_remap(k, collapse_map(pair, n).images, n - 1) for pair in self.pairs
+        ]
         self.sub_perm_remaps = [
-            [self._encode(tuple(a[j] for j in sig), k) for a in sub_domain]
-            for sig in permutations(range(n - 1))
+            pullback_remap(k, sig, n - 1) for sig in permutations(range(n - 1))
         ]
 
         by_ofo = {}
         by_supp = {}
-        for i, t in enumerate(domain):
+        for i, t in enumerate(all_tuples(k, n)):
             by_ofo.setdefault(ofo(t), []).append(i)
             by_supp.setdefault(frozenset(t), []).append(i)
         self.ofo_fibers = [v for v in by_ofo.values() if len(v) > 1]
         self.supp_fibers = [v for v in by_supp.values() if len(v) > 1]
 
-        pair_index = {(p.lo, p.hi): i for i, p in enumerate(self.pairs)}
-        self.pair_actions = []
-        for sig in self.perms:
-            action = tuple(
-                pair_index[tuple(sorted((sig[p.lo], sig[p.hi])))] for p in self.pairs
-            )
-            self.pair_actions.append(action)
-        self.n_pairs = len(self.pairs)
+        # Distinct ofo fiber systems mapped through each permutation remap, in
+        # first-seen order (identity first); at k = 2 only n of the n! differ.
+        systems = {}
+        for remap in self.perm_remaps:
+            mapped = [sorted(map(remap.__getitem__, fiber)) for fiber in self.ofo_fibers]
+            systems.setdefault(frozenset(map(tuple, mapped)), mapped)
+        self.permuted_ofo_fibers = list(systems.values())
 
         self._canon_cache = {}
-        self._ofo_det_cache = {}
-
-    @staticmethod
-    def _encode(t, k):
-        idx = 0
-        for x in t:
-            idx = idx * k + x
-        return idx
 
     def pack_values(self, values):
         return self.pack(values)
@@ -198,18 +190,12 @@ class TableClassifier:
         return out
 
     def two_set_transitive(self, inv_ids) -> bool:
-        first = self.pairs[0]
-        base = (first.lo, first.hi)
-        assert base == (0, 1)
-        orbit = {self.pair_actions[s][0] for s in inv_ids}
-        return len(orbit) == self.n_pairs
+        """Is the orbit of the pair {0, 1} under these permutations all pairs?"""
+        orbit = {frozenset(self.perms[s][:2]) for s in inv_ids}
+        return len(orbit) == len(self.pairs)
 
     def ofo_determined(self, vals) -> bool:
-        r = self._ofo_det_cache.get(vals)
-        if r is None:
-            r = self._constant_on(vals, self.ofo_fibers)
-            self._ofo_det_cache[vals] = r
-        return r
+        return self._constant_on(vals, self.ofo_fibers)
 
     def supp_determined(self, vals) -> bool:
         return self._constant_on(vals, self.supp_fibers)
@@ -224,10 +210,7 @@ class TableClassifier:
         return True
 
     def equiv_ofo_determined(self, vals) -> bool:
-        for remap in self.perm_remaps:
-            if self.ofo_determined(self.pack(map(vals.__getitem__, remap))):
-                return True
-        return False
+        return any(self._constant_on(vals, fibers) for fibers in self.permuted_ofo_fibers)
 
     def classify_values(self, values) -> Classification:
         vals = self.pack(values)
@@ -277,15 +260,13 @@ def has_uim(f) -> bool:
 
 
 def _classify_restriction(pf) -> RestrictionSummary:
-    n = pf.arity
-    inv = [s for s in Permutation.all_perms(n) if symmetry.is_invariant_under(pf, s)]
-    orbit = {s.pair_image(IndexPair(0, 1)) for s in inv}
+    group = symmetry.invariance_group(pf)
     return RestrictionSummary(
         ofo_determined=decomp.ofo_decompose(pf) is not None,
         equiv_ofo_determined=decomp.equiv_to_ofo_determined(pf) is not None,
-        two_set_transitive=len(orbit) == n * (n - 1) // 2,
-        two_set_transitive_degenerate=n == 2,
-        inv_group_order=len(inv),
+        two_set_transitive=symmetry.is_2_set_transitive(group),
+        two_set_transitive_degenerate=pf.arity == 2,
+        inv_group_order=group.order,
     )
 
 
@@ -449,6 +430,8 @@ def search(domain_size: int, codomain_size: int, arity: int,
 
     threads = _thread_count(threads)
     started = time.perf_counter()
+    # Built before the pool forks, so every worker inherits it.
+    ctx = _classifier(k, b, n)
     chunk = max(1, math.ceil(slots / threads))
     jobs = [
         (k, b, n, mode, seed, total, lo, min(lo + chunk, slots))
@@ -471,7 +454,6 @@ def search(domain_size: int, codomain_size: int, arity: int,
         if not deduped or deduped[-1]["table_index"] != w["table_index"]:
             deduped.append(w)
 
-    ctx = _classifier(k, b, n)
     _spot_check_invariance(ctx, mode, seed, total, samples)
 
     return SearchReport(
@@ -722,12 +704,7 @@ def _suite_sporadic_partial(params):
             )
         if m >= 3:
             checked += 1
-            inv = [
-                s for s in Permutation.all_perms(m + 1)
-                if symmetry.is_invariant_under(pf, s)
-            ]
-            orbit = {s.pair_image(IndexPair(0, 1)) for s in inv}
-            if len(orbit) == (m + 1) * m // 2:
+            if symmetry.is_2_set_transitive_fn(pf):
                 return checked, f"k={k}, m={m}: restriction is 2-set-transitive"
     return checked, None
 

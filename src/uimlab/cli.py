@@ -157,29 +157,16 @@ _SUITE_PARAM_KEYS = {
 
 
 def _suite_params(args) -> dict:
-    allowed = _SUITE_PARAM_KEYS.get(args.suite, ())
-    params = {}
-    if "k" in allowed and args.k is not None:
-        params["k"] = args.k
-    if "b" in allowed and args.b is not None:
-        params["b"] = args.b
-    if "n" in allowed and args.n is not None:
-        params["n"] = args.n
-    if "max_len" in allowed and args.max_len is not None:
-        params["max_len"] = args.max_len
-    if "triple_total" in allowed and args.triple_total is not None:
-        params["triple_total"] = args.triple_total
-    if "alpha" in allowed and args.alpha is not None:
-        params["alpha"] = args.alpha
-    if "beta" in allowed and args.beta is not None:
-        params["beta"] = args.beta
-    if "arities" in allowed and args.n is not None:
-        params["arities"] = (args.n,)
-    if "ks" in allowed and args.k is not None:
-        params["ks"] = (args.k,)
-    if "cases" in allowed and args.k is not None and args.m is not None:
-        params["cases"] = ((args.k, args.m),)
-    return params
+    derived = {
+        "arities": None if args.n is None else (args.n,),
+        "ks": None if args.k is None else (args.k,),
+        "cases": None if None in (args.k, args.m) else ((args.k, args.m),),
+    }
+    params = {
+        key: derived[key] if key in derived else getattr(args, key)
+        for key in _SUITE_PARAM_KEYS.get(args.suite, ())
+    }
+    return {key: v for key, v in params.items() if v is not None}
 
 
 def cmd_verify(args) -> int:

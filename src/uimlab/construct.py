@@ -27,7 +27,15 @@ from .ftable import (
     TableFormatError,
     canonical_dumps,
 )
-from .tuples import IndexPair, Permutation, all_tuples, collapse_map, render_tuple
+from .tuples import (
+    IndexPair,
+    Permutation,
+    all_tuples,
+    collapse_map,
+    decode,
+    pullback_remap,
+    render_tuple,
+)
 
 __all__ = [
     "GluingSpec",
@@ -141,30 +149,19 @@ def build(spec: GluingSpec, check: bool = True):
         raise ValueError("invalid gluing spec: " + "; ".join(problems))
     k, b, m = spec.domain_size, spec.codomain_size, spec.base_arity
     n = m + 1
-    plan = []
+    vals = [None] * k**n
     for pair in IndexPair.all_pairs(n):
-        plan.append(
-            (pair.lo, pair.hi, spec.twists[pair].images,
-             spec.minors[spec.pairing[pair]].values)
-        )
-    vals = []
-    for t in all_tuples(k, n):
-        chosen = None
-        for lo, hi, twist, minor_vals in plan:
-            if t[lo] != t[hi]:
-                continue
-            a = t[:hi] + t[hi + 1:]
-            idx = 0
-            for j in twist:
-                idx = idx * k + a[j]
-            v = minor_vals[idx]
-            if chosen is None:
-                chosen = v
-                if not check:
-                    break
-            elif v != chosen:
-                raise RuntimeError(f"inconsistent gluing at {render_tuple(t)}")
-        vals.append(chosen)
+        minor_vals = spec.minors[spec.pairing[pair]].values
+        twisted = pullback_remap(k, spec.twists[pair].images, m)
+        collapsed = pullback_remap(k, collapse_map(pair, n).images, m)
+        for i, j in zip(collapsed, twisted):
+            v = minor_vals[j]
+            if vals[i] is None:
+                vals[i] = v
+            elif check and v != vals[i]:
+                raise RuntimeError(
+                    f"inconsistent gluing at {render_tuple(decode(i, n, k))}"
+                )
     if spec.mode == "total":
         return FunctionTable(k, b, n, tuple(vals))
     return PartialFunctionTable(k, b, n, tuple(vals))

@@ -18,6 +18,7 @@ from .tuples import (
     collapse_map,
     enumerate_repeat_free,
     ofo,
+    pullback_remap,
     render_tuple,
 )
 
@@ -216,19 +217,11 @@ def equiv_to_ofo_determined(f):
     """
     n, k, b = f.arity, f.domain_size, f.codomain_size
     partial = isinstance(f, PartialFunctionTable)
-    domain = list(all_tuples(k, n))
+    table_cls = PartialFunctionTable if partial else FunctionTable
     for sig in permutations(range(n)):
-        inv = [0] * n
-        for i, v in enumerate(sig):
-            inv[v] = i
-        vals = []
-        for u in domain:
-            idx = 0
-            for j in inv:
-                idx = idx * k + u[j]
-            vals.append(f.values[idx])
-        table_cls = PartialFunctionTable if partial else FunctionTable
-        f_star = ofo_decompose(table_cls(k, b, n, tuple(vals)))
+        inv = sorted(range(n), key=sig.__getitem__)
+        vals = tuple(map(f.values.__getitem__, pullback_remap(k, inv, n)))
+        f_star = ofo_decompose(table_cls(k, b, n, vals))
         if f_star is not None:
             return Permutation(sig), f_star
     return None
@@ -247,16 +240,13 @@ def anchored_minor_equivalence(f, pair_i: IndexPair, pair_j: IndexPair):
     n, k = f.arity, f.domain_size
     if n < 2:
         raise ValueError("needs arity >= 2")
-    d_i = collapse_map(pair_i, n)
     d_j = collapse_map(pair_j, n)
     values = f.values
-    domain = list(all_tuples(k, n - 1))
-    lhs = []
-    for a in domain:
-        idx = 0
-        for j in d_i.images:
-            idx = idx * k + a[j]
-        lhs.append(values[idx])
+
+    def pulled_back(images):
+        return tuple(map(values.__getitem__, pullback_remap(k, images, n - 1)))
+
+    lhs = pulled_back(collapse_map(pair_i, n).images)
     positions = [p for p in range(n - 1) if p != pair_j.lo]
     candidates = [v for v in range(n - 1) if v != pair_i.lo]
     for combo in permutations(candidates):
@@ -264,14 +254,7 @@ def anchored_minor_equivalence(f, pair_i: IndexPair, pair_j: IndexPair):
         im[pair_j.lo] = pair_i.lo
         for p, v in zip(positions, combo):
             im[p] = v
-        composite = [im[x] for x in d_j.images]
-        for a, lv in zip(domain, lhs):
-            idx = 0
-            for j in composite:
-                idx = idx * k + a[j]
-            if values[idx] != lv:
-                break
-        else:
+        if pulled_back([im[x] for x in d_j.images]) == lhs:
             return Permutation(tuple(im))
     return None
 

@@ -25,6 +25,7 @@ from .tuples import (
     collapse_map,
     encode,
     has_repeat,
+    pullback_remap,
     render_tuple,
 )
 
@@ -94,13 +95,9 @@ class FunctionTable:
                 f"map source arity {tau.source} != table arity {self.arity}"
             )
         k = self.domain_size
-        vals = []
-        for a in all_tuples(k, tau.target):
-            idx = 0
-            for j in tau.images:
-                idx = idx * k + a[j]
-            vals.append(self.values[idx])
-        return FunctionTable(k, self.codomain_size, tau.target, tuple(vals))
+        remap = pullback_remap(k, tau.images, tau.target)
+        vals = tuple(map(self.values.__getitem__, remap))
+        return FunctionTable(k, self.codomain_size, tau.target, vals)
 
 
 @dataclass(frozen=True)
@@ -170,21 +167,15 @@ def identification_minor(f, pair: IndexPair) -> FunctionTable:
     n = f.arity
     if n < 2:
         raise ValueError("identification minors need arity >= 2")
-    dm = collapse_map(pair, n)
     k = f.domain_size
-    vals = []
-    for a in all_tuples(k, n - 1):
-        idx = 0
-        for j in dm.images:
-            idx = idx * k + a[j]
-        v = f.values[idx]
-        if v is None:
-            raise ValueError(
-                f"partial table undefined at a repeat tuple needed by the minor "
-                f"for {pair.render()}"
-            )
-        vals.append(v)
-    return FunctionTable(k, f.codomain_size, n - 1, tuple(vals))
+    remap = pullback_remap(k, collapse_map(pair, n).images, n - 1)
+    vals = tuple(map(f.values.__getitem__, remap))
+    if None in vals:
+        raise ValueError(
+            f"partial table undefined at a repeat tuple needed by the minor "
+            f"for {pair.render()}"
+        )
+    return FunctionTable(k, f.codomain_size, n - 1, vals)
 
 
 def _check_same_alphabets(f, g):
@@ -205,6 +196,7 @@ def is_minor_of(f: FunctionTable, g: FunctionTable):
     _check_same_alphabets(f, g)
     n, m, k = f.arity, g.arity, f.domain_size
     domain = list(all_tuples(k, n))
+    # Lazy on purpose: most of the n**m maps fail within a few entries.
     for images in product(range(n), repeat=m):
         for a, fv in zip(domain, f.values):
             idx = 0
@@ -229,15 +221,8 @@ def are_equivalent_same_arity(f, g):
     if f.arity != g.arity:
         raise ValueError(f"arity mismatch: {f.arity} vs {g.arity}")
     n, k = f.arity, f.domain_size
-    domain = list(all_tuples(k, n))
     for sig in permutations(range(n)):
-        for a, fv in zip(domain, f.values):
-            idx = 0
-            for j in sig:
-                idx = idx * k + a[j]
-            if g.values[idx] != fv:
-                break
-        else:
+        if tuple(map(g.values.__getitem__, pullback_remap(k, sig, n))) == f.values:
             return Permutation(sig)
     return None
 

@@ -10,7 +10,7 @@ tuples, which every permutation preserves).
 from dataclasses import dataclass
 from math import factorial
 
-from .tuples import IndexPair, Permutation, all_tuples, collapse_map
+from .tuples import IndexPair, Permutation, collapse_map, pullback_remap
 
 __all__ = [
     "PermutationGroup",
@@ -74,15 +74,8 @@ def is_invariant_under(f, sigma: Permutation) -> bool:
     """
     if sigma.degree != f.arity:
         raise ValueError(f"degree {sigma.degree} != arity {f.arity}")
-    k = f.domain_size
-    values = f.values
-    for a, fv in zip(all_tuples(k, f.arity), values):
-        idx = 0
-        for j in sigma.images:
-            idx = idx * k + a[j]
-        if values[idx] != fv:
-            return False
-    return True
+    remap = pullback_remap(f.domain_size, sigma.images, f.arity)
+    return tuple(map(f.values.__getitem__, remap)) == f.values
 
 
 def invariance_group(f) -> PermutationGroup:

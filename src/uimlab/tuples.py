@@ -25,6 +25,7 @@ __all__ = [
     "has_repeat",
     "ofo",
     "parse_tuple",
+    "pullback_remap",
     "render_tuple",
     "supp",
 ]
@@ -232,6 +233,32 @@ def apply_index_map(t, m):
     if len(t) != m.target:
         raise ValueError(f"tuple length {len(t)} != map target arity {m.target}")
     return tuple(t[j] for j in m.images)
+
+
+def pullback_remap(alphabet, images, target: int) -> list:
+    """Index form of pulling back along ``images``: entry ``encode(a)`` is
+    ``encode(apply_index_map(a, IndexMap(len(images), target, images)))``,
+    for every length-``target`` tuple ``a`` in encode order.
+
+    So ``[values[j] for j in pullback_remap(k, images, target)]`` is the
+    table ``values`` precomposed with that pullback.
+
+    >>> pullback_remap(2, (0, 1, 1), 2)
+    [0, 3, 4, 7]
+    """
+    k = _size(alphabet)
+    weights = [0] * target
+    place = 1
+    for v in reversed(images):
+        if not 0 <= v < target:
+            raise ValueError(f"image {v} out of range 0..{target - 1}")
+        weights[v] += place
+        place *= k
+    out = [0]
+    for w in weights:
+        steps = [d * w for d in range(k)]
+        out = [x + y for x in out for y in steps]
+    return out
 
 
 def collapse_map(pair: IndexPair, n: int) -> IndexMap:

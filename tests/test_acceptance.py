@@ -144,6 +144,9 @@ def test_11_conjecture_evidence_run():
         assert sum(first.counts.values()) == 65536
         # run-to-run reproducibility (counts are derived by the run itself)
         assert first.fingerprint() == second.fingerprint()
+        assert first.fingerprint() == (
+            "9b5f0c7bf602583bf3fc98b845811152b1e567cfbabdfdc7aa78c69f99d7f35e"
+        )
         # every unique-minor table is 2ST, OFO-EQ, or emitted verbatim
         assert first.counts["OTHER"] == len(first.other_witnesses)
         for witness in first.other_witnesses:

@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import product
 
@@ -24,6 +25,7 @@ from uimlab.decomp import (
 )
 from uimlab.ftable import FunctionTable
 from uimlab.symmetry import is_2_set_transitive_fn, is_totally_symmetric
+from uimlab.tuples import Permutation, apply_index_map
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 AND3 = FunctionTable(2, 2, 3, (0, 0, 0, 0, 0, 0, 1, 1))
@@ -82,11 +84,33 @@ def test_classify_attaches_restriction_at_small_arity():
     assert c.restriction.ofo_determined  # constant on the defined diagonal
 
 
-def test_classifier_agrees_with_the_direct_operations():
-    ctx = TableClassifier(2, 2, 3)
-    for index in range(256):
-        vals = tuple((index >> i) & 1 for i in range(8))
-        f = FunctionTable(2, 2, 3, vals)
+def _agreement_tables(k, b, n):
+    """Every table at (2,2,3); at (3,2,4), where all 24 permuted ofo fiber
+    systems differ, seeded random tables plus argument-permuted
+    ofo-determined ones."""
+    if (k, b, n) == (2, 2, 3):
+        return [tuple((index >> i) & 1 for i in range(8)) for index in range(256)]
+    rng = random.Random(11)
+    tables = [tuple(rng.randrange(b) for _ in range(k**n)) for _ in range(30)]
+    keys = _ofo_domain(k, min(k, n))
+    perms = list(Permutation.all_perms(n))
+    for _ in range(20):
+        f_star = OfoTable.from_values(k, b, min(k, n), [rng.randrange(b) for _ in keys])
+        f = compose_ofo(f_star, n)
+        sigma = rng.choice(perms)
+        permuted = FunctionTable.from_callable(
+            k, b, n, lambda t: f(apply_index_map(t, sigma))
+        )
+        tables.append(permuted.values)
+    return tables
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 4)], ids=["k2b2n3", "k3b2n4"])
+def test_classifier_agrees_with_the_direct_operations(shape):
+    ctx = TableClassifier(*shape)
+    seen_equiv_ofo = set()
+    for vals in _agreement_tables(*shape):
+        f = FunctionTable(*shape, vals)
         c = ctx.classify_values(vals)
         assert c.has_uim == has_uim(f)
         assert c.totally_symmetric == is_totally_symmetric(f)
@@ -94,6 +118,47 @@ def test_classifier_agrees_with_the_direct_operations():
         assert c.ofo_determined == (ofo_decompose(f) is not None)
         assert c.supp_determined == (supp_decompose(f) is not None)
         assert c.equiv_ofo_determined == (equiv_to_ofo_determined(f) is not None)
+        seen_equiv_ofo.add(c.equiv_ofo_determined)
+    assert seen_equiv_ofo == {True, False}
+
+
+def test_classifier_guards_its_remap_size(monkeypatch):
+    # 4! * 2**4 = 384 permutation remap entries
+    monkeypatch.setattr(analysis, "REMAP_GUARD", 100)
+    with pytest.raises(ValueError, match="384"):
+        TableClassifier(2, 2, 4)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+def test_search_builds_the_classifier_once_before_the_pool(monkeypatch):
+    pid = os.getpid()
+
+    class ParentOnlyClassifier(TableClassifier):
+        def __init__(self, *args):
+            if os.getpid() != pid:
+                raise RuntimeError("classifier built in a pool worker")
+            super().__init__(*args)
+
+    monkeypatch.setattr(analysis, "_classifiers", {})
+    monkeypatch.setattr(analysis, "TableClassifier", ParentOnlyClassifier)
+    report = search(2, 2, 3, threads=2)
+    assert report.classified == 256
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, fingerprint",
+    [
+        ((2, 2, 3), {},
+         "06cd5be3dd7a92299ee8f242ca0ed59d2ed831c895e37acd37e7ae72ea11e33e"),
+        ((3, 3, 2), {},
+         "8cfa061e37e8451570051e097881f1d1f8bd1e11ba66699ea50704d260f7ec7f"),
+        ((2, 2, 5), {"mode": "sampled", "seed": 3, "samples": 25},
+         "5acdd7838fb4dbc7923264a2db52cd5736c997d0678bf93cd94400864afc35f5"),
+    ],
+    ids=["k2b2n3-exhaustive", "k3b3n2-exhaustive", "k2b2n5-sampled"],
+)
+def test_search_fingerprints_are_pinned(args, kwargs, fingerprint):
+    assert search(*args, **kwargs).fingerprint() == fingerprint
 
 
 def test_category_assignment():

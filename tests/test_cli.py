@@ -209,6 +209,26 @@ def test_search_guard_exit(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_search_remap_guard_exit(capsys):
+    # 9! * 2**9 = 185794560 permutation remap entries: rejected before building
+    assert cli.main(["search", "--k", "2", "--b", "2", "--n", "9",
+                     "--samples", "1"]) == 2
+    assert "185794560" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["--suite", "prop-52", "--k", "4", "--m", "3"], {"cases": ((4, 3),)}),
+        (["--suite", "uim-2st", "--n", "3"], {"arities": (3,)}),
+        (["--suite", "ofo-identities", "--k", "2"], {"k": 2}),
+    ],
+)
+def test_suite_params_from_flags(argv, params):
+    args = cli.build_parser().parse_args(["verify", *argv])
+    assert cli._suite_params(args) == params
+
+
 def test_search_requires_a_mode():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--k", "2", "--b", "2", "--n", "3"])

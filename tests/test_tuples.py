@@ -16,6 +16,7 @@ from uimlab.tuples import (
     has_repeat,
     ofo,
     parse_tuple,
+    pullback_remap,
     render_tuple,
     supp,
 )
@@ -89,6 +90,27 @@ def test_index_map_validation_and_composition():
     assert outer.after(inner).images == (0, 0, 2)
     with pytest.raises(ValueError):
         inner.after(inner)
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+def test_pullback_remap_matches_apply_index_map(k, target, data):
+    images = data.draw(
+        st.lists(st.integers(0, target - 1), max_size=5) if target else st.just([])
+    )
+    m = IndexMap(len(images), target, images)
+    remap = pullback_remap(k, images, target)
+    assert len(remap) == k**target
+    for a in all_tuples(k, target):
+        assert remap[encode(a, k)] == encode(apply_index_map(a, m), k)
+
+
+def test_pullback_remap_examples():
+    # identifying both positions of a pair: (a0, a0)
+    assert pullback_remap(2, (0, 0), 1) == [0, 3]
+    # the transposition of two binary positions swaps indices 1 and 2
+    assert pullback_remap(2, (1, 0), 2) == [0, 2, 1, 3]
+    with pytest.raises(ValueError):
+        pullback_remap(2, (0, 2), 2)
 
 
 def test_collapse_map_examples():

@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import permutations, product
 from multiprocessing import get_context
+from operator import itemgetter
 
 from . import construct, decomp, ftable, symmetry
 from .ftable import FunctionTable, canonical_dumps
@@ -34,6 +35,7 @@ from .tuples import (
     all_tuples,
     apply_index_map,
     collapse_map,
+    decode,
     ofo,
     pullback_remap,
     render_tuple,
@@ -102,15 +104,24 @@ def _categorize(uim: bool, two_set_transitive: bool, equiv_ofo: bool) -> str:
     return "OTHER"
 
 
+def _tuple_getter(remap):
+    """``itemgetter(*remap)``, but a tuple also for a single index."""
+    if len(remap) == 1:
+        (i,) = remap
+        return lambda vals: (vals[i],)
+    return itemgetter(*remap)
+
+
 class TableClassifier:
     """Precomputed index machinery for classifying every table of one shape.
 
-    Value vectors are handled as ``bytes`` (when the codomain fits) so a sweep
-    over b**(k**n) tables stays cheap; canonical minor forms are memoized
-    across the sweep.  Fiber tests are not memoized: a permuted table is
-    ofo-determined exactly when the table itself is constant on every ofo
-    fiber mapped back through the permutation, and those mapped fiber
-    systems are built once here.
+    Value vectors are plain tuples and nothing is memoized across tables.
+    The identification-minor and minor-permutation pull-backs are built once
+    here as getters; a table has a unique identification minor exactly when
+    every minor lies in the orbit of the first under argument permutations.
+    A permuted table is ofo-determined exactly when the table itself is
+    constant on every ofo fiber mapped back through the permutation, and
+    those mapped fiber systems are built once here too.
     """
 
     def __init__(self, domain_size: int, codomain_size: int, arity: int):
@@ -127,16 +138,17 @@ class TableClassifier:
                 f"{remap_entries} permutation remap entries (n! * k**n) exceed "
                 f"guard {REMAP_GUARD}"
             )
-        self.pack = bytes if b <= 256 else tuple
 
         self.perms = list(permutations(range(n)))
         self.perm_remaps = [pullback_remap(k, sig, n) for sig in self.perms]
         self.pairs = list(IndexPair.all_pairs(n))
-        self.minor_remaps = [
-            pullback_remap(k, collapse_map(pair, n).images, n - 1) for pair in self.pairs
+        self.minors = [
+            _tuple_getter(pullback_remap(k, collapse_map(pair, n).images, n - 1))
+            for pair in self.pairs
         ]
-        self.sub_perm_remaps = [
-            pullback_remap(k, sig, n - 1) for sig in permutations(range(n - 1))
+        self.sub_perms = [
+            _tuple_getter(pullback_remap(k, sig, n - 1))
+            for sig in permutations(range(n - 1))
         ]
 
         by_ofo = {}
@@ -155,29 +167,10 @@ class TableClassifier:
             systems.setdefault(frozenset(map(tuple, mapped)), mapped)
         self.permuted_ofo_fibers = list(systems.values())
 
-        self._canon_cache = {}
-
-    def pack_values(self, values):
-        return self.pack(values)
-
-    def minor_values(self, vals):
-        return [self.pack(map(vals.__getitem__, remap)) for remap in self.minor_remaps]
-
-    def canonical_form(self, vals):
-        """Least permuted image: equal forms = equivalent equal-arity tables."""
-        c = self._canon_cache.get(vals)
-        if c is None:
-            c = min(
-                self.pack(map(vals.__getitem__, remap))
-                for remap in self.sub_perm_remaps
-            )
-            self._canon_cache[vals] = c
-        return c
-
     def has_uim(self, vals) -> bool:
-        minors = self.minor_values(vals)
-        first = self.canonical_form(minors[0])
-        return all(self.canonical_form(m) == first for m in minors[1:])
+        first, *rest = (minor(vals) for minor in self.minors)
+        orbit = {perm(first) for perm in self.sub_perms}
+        return all(m in orbit for m in rest)
 
     def invariant_perm_ids(self, vals):
         out = []
@@ -213,7 +206,7 @@ class TableClassifier:
         return any(self._constant_on(vals, fibers) for fibers in self.permuted_ofo_fibers)
 
     def classify_values(self, values) -> Classification:
-        vals = self.pack(values)
+        vals = tuple(values)
         uim = self.has_uim(vals)
         inv_ids = self.invariant_perm_ids(vals)
         two_set = self.two_set_transitive(inv_ids)
@@ -341,27 +334,31 @@ def sample_index(seed: int, j: int, total: int) -> int:
             return v
 
 
-def _index_to_values(index: int, codomain_size: int, length: int):
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, out[pos] = divmod(index, codomain_size)
-    return tuple(out)
-
-
 def _search_chunk(args):
-    k, b, n, mode, seed, total, start, end = args
+    """Classify slots ``start..end`` and run both self-checks on them: the
+    category preconditions imply a unique identification minor, and each
+    spot-checked slot classifies like its copies under the drawn argument
+    permutations."""
+    k, b, n, mode, seed, total, start, end, spot_checks = args
     ctx = _classifier(k, b, n)
     counts = Counter()
     witnesses = []
     for slot in range(start, end):
         index = slot if mode == "exhaustive" else sample_index(seed, slot, total)
-        values = _index_to_values(index, b, ctx.size)
+        values = decode(index, ctx.size, b)
         c = ctx.classify_values(values)
         if (c.two_set_transitive or c.equiv_ofo_determined) and not c.has_uim:
             raise RuntimeError(
                 f"classification inconsistency at table {index}: "
                 f"category preconditions guarantee a unique identification minor"
             )
+        for perm_id in spot_checks.get(slot, ()):
+            remap = ctx.perm_remaps[perm_id]
+            cp = ctx.classify_values(tuple(values[j] for j in remap))
+            if (c.category, c.has_uim) != (cp.category, cp.has_uim):
+                raise RuntimeError(
+                    f"classification is not permutation-invariant at table {index}"
+                )
         counts[c.category] += 1
         if c.category == "OTHER":
             witnesses.append({"table_index": index, "values": list(values)})
@@ -372,28 +369,6 @@ def _thread_count(threads) -> int:
     if threads is None:
         threads = int(os.environ.get("UIMLAB_THREADS", "1"))
     return max(1, min(int(threads), os.cpu_count() or 1))
-
-
-def _spot_check_invariance(ctx: TableClassifier, mode, seed, total, samples,
-                           rounds: int = 100) -> None:
-    """Classification must agree between a table and any argument-permuted
-    copy; checked on seeded random (table, permutation) pairs."""
-    rng = random.Random(f"{0 if seed is None else seed}:invariance-spot-check")
-    b = ctx.codomain_size
-    for _ in range(rounds):
-        if mode == "exhaustive":
-            index = rng.randrange(total)
-        else:
-            index = sample_index(seed, rng.randrange(samples), total)
-        vals = ctx.pack(_index_to_values(index, b, ctx.size))
-        remap = ctx.perm_remaps[rng.randrange(len(ctx.perms))]
-        permuted = ctx.pack(map(vals.__getitem__, remap))
-        c1 = ctx.classify_values(vals)
-        c2 = ctx.classify_values(permuted)
-        if (c1.category, c1.has_uim) != (c2.category, c2.has_uim):
-            raise RuntimeError(
-                f"classification is not permutation-invariant at table {index}"
-            )
 
 
 def search(domain_size: int, codomain_size: int, arity: int,
@@ -431,10 +406,17 @@ def search(domain_size: int, codomain_size: int, arity: int,
     threads = _thread_count(threads)
     started = time.perf_counter()
     # Built before the pool forks, so every worker inherits it.
-    ctx = _classifier(k, b, n)
+    _classifier(k, b, n)
+    # 100 seeded (slot, permutation) pairs for the permutation-invariance
+    # spot check, which the chunk holding each slot runs.
+    rng = random.Random(f"{0 if seed is None else seed}:invariance-spot-check")
+    spot_checks = {}
+    for _ in range(100):
+        slot = rng.randrange(slots)
+        spot_checks.setdefault(slot, []).append(rng.randrange(math.factorial(n)))
     chunk = max(1, math.ceil(slots / threads))
     jobs = [
-        (k, b, n, mode, seed, total, lo, min(lo + chunk, slots))
+        (k, b, n, mode, seed, total, lo, min(lo + chunk, slots), spot_checks)
         for lo in range(0, slots, chunk)
     ]
     if len(jobs) == 1:
@@ -453,8 +435,6 @@ def search(domain_size: int, codomain_size: int, arity: int,
     for w in witnesses:
         if not deduped or deduped[-1]["table_index"] != w["table_index"]:
             deduped.append(w)
-
-    _spot_check_invariance(ctx, mode, seed, total, samples)
 
     return SearchReport(
         domain_size=k,
@@ -615,7 +595,7 @@ def _suite_support_equivalences(params):
     supp_det = []
     checked = 0
     for index in range(total):
-        vals = ctx.pack(_index_to_values(index, b, ctx.size))
+        vals = decode(index, ctx.size, b)
         checked += 1
         det = ctx.ofo_determined(vals)
         if det:
@@ -632,7 +612,7 @@ def _suite_support_equivalences(params):
             f"supp={len(supp_det)}"
         )
     for index in supp_det:
-        f = FunctionTable(k, b, n, _index_to_values(index, b, ctx.size))
+        f = FunctionTable(k, b, n, decode(index, ctx.size, b))
         for pair_i in IndexPair.all_pairs(n):
             for pair_j in IndexPair.all_pairs(n):
                 checked += 1
@@ -721,7 +701,7 @@ def _suite_two_set_transitive_uim(params):
             raise ValueError("space exceeds the exhaustive guard")
         ctx = _classifier(k, b, n)
         for index in range(total):
-            vals = ctx.pack(_index_to_values(index, b, ctx.size))
+            vals = decode(index, ctx.size, b)
             if ctx.two_set_transitive(ctx.invariant_perm_ids(vals)):
                 checked += 1
                 if not ctx.has_uim(vals):

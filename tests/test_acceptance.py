@@ -13,7 +13,7 @@ from uimlab.construct import marked_tuple, sporadic_function
 from uimlab.decomp import SuppTable, compose_supp
 from uimlab.ftable import FunctionTable
 from uimlab.symmetry import is_2_set_transitive_fn, is_totally_symmetric
-from uimlab.tuples import IndexPair, ofo
+from uimlab.tuples import IndexPair, decode, ofo
 
 
 class _Budget:
@@ -107,12 +107,12 @@ def test_07_support_class_equalities():
             f = compose_supp(SuppTable.from_values(2, 2, 2, vals), 4)
             assert is_totally_symmetric(f)
             assert is_2_set_transitive_fn(f)
-            assert ctx.ofo_determined(ctx.pack_values(f.values))
+            assert ctx.ofo_determined(tuple(f.values))
             composed.add(f.values)
         swept = set()
         for index in range(2**16):
-            values = analysis._index_to_values(index, 2, 16)
-            if ctx.supp_determined(ctx.pack_values(values)):
+            values = decode(index, 16, 2)
+            if ctx.supp_determined(values):
                 swept.add(values)
         assert swept == composed
         assert len(swept) == 8

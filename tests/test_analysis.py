@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -25,7 +26,7 @@ from uimlab.decomp import (
 )
 from uimlab.ftable import FunctionTable
 from uimlab.symmetry import is_2_set_transitive_fn, is_totally_symmetric
-from uimlab.tuples import Permutation, apply_index_map
+from uimlab.tuples import Permutation, apply_index_map, decode
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 AND3 = FunctionTable(2, 2, 3, (0, 0, 0, 0, 0, 0, 1, 1))
@@ -85,11 +86,11 @@ def test_classify_attaches_restriction_at_small_arity():
 
 
 def _agreement_tables(k, b, n):
-    """Every table at (2,2,3); at (3,2,4), where all 24 permuted ofo fiber
-    systems differ, seeded random tables plus argument-permuted
-    ofo-determined ones."""
-    if (k, b, n) == (2, 2, 3):
-        return [tuple((index >> i) & 1 for i in range(8)) for index in range(256)]
+    """Every table at (2,2,3) and (1,2,3); elsewhere, as at (3,2,4), where all
+    24 permuted ofo fiber systems differ, seeded random tables plus
+    argument-permuted ofo-determined ones."""
+    if (k, b, n) in ((2, 2, 3), (1, 2, 3)):
+        return [decode(index, k**n, b) for index in range(b ** (k**n))]
     rng = random.Random(11)
     tables = [tuple(rng.randrange(b) for _ in range(k**n)) for _ in range(30)]
     keys = _ofo_domain(k, min(k, n))
@@ -105,7 +106,11 @@ def _agreement_tables(k, b, n):
     return tables
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 3), (3, 2, 4)], ids=["k2b2n3", "k3b2n4"])
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (3, 2, 4), (2, 3, 3), (1, 2, 3)],
+    ids=["k2b2n3", "k3b2n4", "k2b3n3", "k1b2n3"],
+)
 def test_classifier_agrees_with_the_direct_operations(shape):
     ctx = TableClassifier(*shape)
     seen_equiv_ofo = set()
@@ -119,7 +124,8 @@ def test_classifier_agrees_with_the_direct_operations(shape):
         assert c.supp_determined == (supp_decompose(f) is not None)
         assert c.equiv_ofo_determined == (equiv_to_ofo_determined(f) is not None)
         seen_equiv_ofo.add(c.equiv_ofo_determined)
-    assert seen_equiv_ofo == {True, False}
+    # at k = 1 every table has one entry, so every table is ofo-determined
+    assert seen_equiv_ofo == ({True} if shape[0] == 1 else {True, False})
 
 
 def test_classifier_guards_its_remap_size(monkeypatch):
@@ -143,6 +149,40 @@ def test_search_builds_the_classifier_once_before_the_pool(monkeypatch):
     monkeypatch.setattr(analysis, "TableClassifier", ParentOnlyClassifier)
     report = search(2, 2, 3, threads=2)
     assert report.classified == 256
+
+
+def test_search_spot_checks_100_permuted_tables(monkeypatch):
+    calls = []
+    classify_values = TableClassifier.classify_values
+
+    def counting(self, values):
+        calls.append(values)
+        return classify_values(self, values)
+
+    monkeypatch.setattr(TableClassifier, "classify_values", counting)
+    report = search(2, 2, 3, threads=1)
+    assert len(calls) == report.classified + 100
+
+
+def test_search_rejects_a_classification_that_is_not_permutation_invariant(
+    monkeypatch,
+):
+    class PositionalClassifier(TableClassifier):
+        # depends on the value at input (0, 0, 1), which permutations move
+        def classify_values(self, values):
+            uim = bool(values[1])
+            return replace(
+                super().classify_values(values),
+                has_uim=uim,
+                two_set_transitive=False,
+                equiv_ofo_determined=False,
+                category="OTHER" if uim else "NOT-UIM",
+            )
+
+    monkeypatch.setattr(analysis, "_classifiers", {})
+    monkeypatch.setattr(analysis, "TableClassifier", PositionalClassifier)
+    with pytest.raises(RuntimeError, match="not permutation-invariant"):
+        search(2, 2, 3, threads=1)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,5 +249,16 @@ def test_threads_env_is_respected(monkeypatch):
 @pytest.mark.skipif(shutil.which("uimlab") is None, reason="script not installed")
 def test_console_script():
     proc = subprocess.run(["uimlab", "ofo", "kayak"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "kay"
+
+
+def test_python_dash_m():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "uimlab", "ofo", "kayak"],
+        capture_output=True, text=True, env=env,
+    )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "kay"

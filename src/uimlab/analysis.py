@@ -36,6 +36,7 @@ from .tuples import (
     apply_index_map,
     collapse_map,
     decode,
+    encode,
     ofo,
     pullback_remap,
     render_tuple,
@@ -334,34 +335,75 @@ def sample_index(seed: int, j: int, total: int) -> int:
             return v
 
 
+def _restricted_growth(length, b, prefix=()):
+    """Value vectors over ``range(b)`` that extend ``prefix`` and whose
+    values first occur in the order 0, 1, 2, ..., in table index order:
+    one representative per orbit of output renaming."""
+    used = max(prefix, default=-1) + 1
+    if used == b or len(prefix) == length:
+        for rest in product(range(b), repeat=length - len(prefix)):
+            yield prefix + rest
+        return
+    for v in range(used + 1):
+        yield from _restricted_growth(length, b, prefix + (v,))
+
+
+def _representative(values):
+    """The output renaming of ``values`` that :func:`_restricted_growth`
+    enumerates: each value renamed to the rank of its first occurrence."""
+    names = {}
+    return tuple(names.setdefault(v, len(names)) for v in values)
+
+
+def _renamings(values, b):
+    """Every table that :func:`_representative` maps to ``values``: its
+    renamings onto ``r`` of the ``b`` output values, ``b!/(b-r)!`` of them."""
+    return (
+        tuple(names[v] for v in values)
+        for names in permutations(range(b), max(values) + 1)
+    )
+
+
 def _search_chunk(args):
-    """Classify slots ``start..end`` and run both self-checks on them: the
+    """Classify one part of a search and run both self-checks on it: the
     category preconditions imply a unique identification minor, and each
-    spot-checked slot classifies like its copies under the drawn argument
-    permutations."""
-    k, b, n, mode, seed, total, start, end, spot_checks = args
+    spot-checked table's permuted copies classify like the table the main
+    loop classified for it.
+
+    An exhaustive part is every representative extending a restricted-growth
+    prefix; each stands for ``b!/(b-r)!`` tables, its renamings onto ``r``
+    of the ``b`` values.  A sampled part is a range of sample slots.
+    """
+    k, b, n, mode, seed, total, part, spot_checks = args
     ctx = _classifier(k, b, n)
+    exhaustive = mode == "exhaustive"
+    if exhaustive:
+        tables = _restricted_growth(ctx.size, b, part)
+    else:
+        tables = (
+            decode(sample_index(seed, slot, total), ctx.size, b) for slot in range(*part)
+        )
     counts = Counter()
     witnesses = []
-    for slot in range(start, end):
-        index = slot if mode == "exhaustive" else sample_index(seed, slot, total)
-        values = decode(index, ctx.size, b)
+    for values in tables:
         c = ctx.classify_values(values)
         if (c.two_set_transitive or c.equiv_ofo_determined) and not c.has_uim:
             raise RuntimeError(
-                f"classification inconsistency at table {index}: "
+                f"classification inconsistency at table {encode(values, b)}: "
                 f"category preconditions guarantee a unique identification minor"
             )
-        for perm_id in spot_checks.get(slot, ()):
-            remap = ctx.perm_remaps[perm_id]
-            cp = ctx.classify_values(tuple(values[j] for j in remap))
+        for index, copy in spot_checks.pop(values, ()):
+            cp = ctx.classify_values(copy)
             if (c.category, c.has_uim) != (cp.category, cp.has_uim):
                 raise RuntimeError(
                     f"classification is not permutation-invariant at table {index}"
                 )
-        counts[c.category] += 1
+        counts[c.category] += math.perm(b, max(values) + 1) if exhaustive else 1
         if c.category == "OTHER":
-            witnesses.append({"table_index": index, "values": list(values)})
+            renamed = _renamings(values, b) if exhaustive else (values,)
+            witnesses.extend(
+                {"table_index": encode(t, b), "values": list(t)} for t in renamed
+            )
     return dict(counts), witnesses
 
 
@@ -376,10 +418,16 @@ def search(domain_size: int, codomain_size: int, arity: int,
            samples: int | None = None, threads: int | None = None) -> SearchReport:
     """Classify a complete table space, or a seeded sample of one.
 
-    Exhaustive mode enumerates every table index below b**(k**n) (guarded at
-    ``EXHAUSTIVE_GUARD``); sampled mode draws ``samples`` indices via
-    :func:`sample_index`.  Work may be split across processes; chunks are
-    merged in index order, so reports are identical for any thread count.
+    Exhaustive mode covers every table index below b**(k**n) (guarded at
+    ``EXHAUSTIVE_GUARD``) but classifies one table per orbit of output
+    renaming: the table whose values first occur in the order 0, 1, 2, ...
+    Every category is invariant under renaming, so a representative using
+    r values counts for its b!/(b-r)! renamings, and an OTHER representative
+    adds each renaming to the witnesses under its own ``table_index``;
+    ``classified`` counts the tables covered.  Sampled mode draws
+    ``samples`` indices via :func:`sample_index` and classifies each.  Work
+    may be split across processes; witnesses are sorted by table index, so
+    reports are identical for any thread count.
     """
     k, b, n = domain_size, codomain_size, arity
     if n < 2:
@@ -406,23 +454,32 @@ def search(domain_size: int, codomain_size: int, arity: int,
     threads = _thread_count(threads)
     started = time.perf_counter()
     # Built before the pool forks, so every worker inherits it.
-    _classifier(k, b, n)
-    # 100 seeded (slot, permutation) pairs for the permutation-invariance
-    # spot check, which the chunk holding each slot runs.
+    ctx = _classifier(k, b, n)
+    # 100 seeded (slot, permutation) pairs for the invariance spot check.
+    # Each drawn table's permuted copy is keyed by the table the main loop
+    # classifies for it, its representative in exhaustive mode.
     rng = random.Random(f"{0 if seed is None else seed}:invariance-spot-check")
     spot_checks = {}
     for _ in range(100):
         slot = rng.randrange(slots)
-        spot_checks.setdefault(slot, []).append(rng.randrange(math.factorial(n)))
-    chunk = max(1, math.ceil(slots / threads))
-    jobs = [
-        (k, b, n, mode, seed, total, lo, min(lo + chunk, slots), spot_checks)
-        for lo in range(0, slots, chunk)
-    ]
+        remap = ctx.perm_remaps[rng.randrange(math.factorial(n))]
+        index = slot if mode == "exhaustive" else sample_index(seed, slot, total)
+        values = decode(index, ctx.size, b)
+        key = _representative(values) if mode == "exhaustive" else values
+        spot_checks.setdefault(key, []).append((index, tuple(values[j] for j in remap)))
+    if mode == "exhaustive":
+        # One part per restricted-growth prefix; for b >= 2 the 2**(length-1)
+        # prefixes over {0, 1} alone give every worker at least four parts.
+        length = min(ctx.size, (4 * threads).bit_length()) if threads > 1 else 0
+        parts = list(_restricted_growth(length, b))
+    else:
+        chunk = max(1, math.ceil(slots / threads))
+        parts = [(lo, min(lo + chunk, slots)) for lo in range(0, slots, chunk)]
+    jobs = [(k, b, n, mode, seed, total, part, spot_checks) for part in parts]
     if len(jobs) == 1:
         results = [_search_chunk(jobs[0])]
     else:
-        with get_context("fork").Pool(len(jobs)) as pool:
+        with get_context("fork").Pool(min(threads, len(jobs))) as pool:
             results = pool.map(_search_chunk, jobs)
 
     counts = Counter()
@@ -709,6 +766,38 @@ def _suite_two_set_transitive_uim(params):
     return checked, None
 
 
+def _suite_renaming_invariance(params):
+    """Classification is unchanged when the output values are renamed or the
+    domain symbols are renamed in every argument, over a whole table space:
+    exhaustive search classifies one table per output renaming."""
+    k = params.get("k", 2)
+    b = params.get("b", 3)
+    n = params.get("n", 3)
+    total = b ** (k**n)
+    if total > EXHAUSTIVE_GUARD:
+        raise ValueError("space exceeds the exhaustive guard")
+    ctx = _classifier(k, b, n)
+    renamings = list(permutations(range(b)))[1:]
+    # Pulling a table back along one of these is renaming domain symbols.
+    symbol_remaps = {
+        pi: [encode([pi[x] for x in t], k) for t in all_tuples(k, n)]
+        for pi in list(permutations(range(k)))[1:]
+    }
+    checked = 0
+    for index in range(total):
+        vals = decode(index, ctx.size, b)
+        c = ctx.classify_values(vals)
+        for names in renamings:
+            checked += 1
+            if ctx.classify_values(tuple(names[v] for v in vals)) != c:
+                return checked, f"table {index}: output renaming {names}"
+        for pi, remap in symbol_remaps.items():
+            checked += 1
+            if ctx.classify_values(tuple(vals[j] for j in remap)) != c:
+                return checked, f"table {index}: symbol renaming {pi}"
+    return checked, None
+
+
 _SUITES = {
     "ofo-identities": _suite_ofo_identities,
     "lemma-ofodeltaI": _suite_collapse_insertion,
@@ -718,6 +807,7 @@ _SUITES = {
     "prop-42": _suite_sporadic_total,
     "prop-52": _suite_sporadic_partial,
     "uim-2st": _suite_two_set_transitive_uim,
+    "renaming-invariance": _suite_renaming_invariance,
 }
 
 

@@ -153,6 +153,7 @@ _SUITE_PARAM_KEYS = {
     "prop-42": ("ks", "alpha", "beta"),
     "prop-52": ("cases", "alpha", "beta"),
     "uim-2st": ("k", "b", "arities"),
+    "renaming-invariance": ("k", "b", "n"),
 }
 
 

@@ -160,8 +160,10 @@ def test_search_spot_checks_100_permuted_tables(monkeypatch):
         return classify_values(self, values)
 
     monkeypatch.setattr(TableClassifier, "classify_values", counting)
-    report = search(2, 2, 3, threads=1)
-    assert len(calls) == report.classified + 100
+    search(2, 2, 3, threads=1)
+    # one call per restricted-growth vector (a 0 followed by any 7 binary
+    # values) and one per spot check
+    assert len(calls) == 2**7 + 100
 
 
 def test_search_rejects_a_classification_that_is_not_permutation_invariant(
@@ -185,6 +187,72 @@ def test_search_rejects_a_classification_that_is_not_permutation_invariant(
         search(2, 2, 3, threads=1)
 
 
+def test_search_rejects_a_classification_that_depends_on_output_names(monkeypatch):
+    class ValueZeroClassifier(TableClassifier):
+        # reads the value at input (0, 0, 0), which argument permutations fix
+        # and output renamings change; a representative always has 0 there
+        def classify_values(self, values):
+            uim = values[0] == 0
+            return replace(
+                super().classify_values(values),
+                has_uim=uim,
+                two_set_transitive=False,
+                equiv_ofo_determined=False,
+                category="OTHER" if uim else "NOT-UIM",
+            )
+
+    monkeypatch.setattr(analysis, "_classifiers", {})
+    monkeypatch.setattr(analysis, "TableClassifier", ValueZeroClassifier)
+    with pytest.raises(RuntimeError, match="not permutation-invariant"):
+        search(2, 2, 3, threads=1)
+
+
+def _search_by_index(k, b, n):
+    """Counts and OTHER witnesses from classifying every table index."""
+    ctx = analysis._classifier(k, b, n)
+    counts = dict.fromkeys(analysis.CATEGORIES, 0)
+    witnesses = []
+    for index in range(b ** (k**n)):
+        values = decode(index, k**n, b)
+        category = ctx.classify_values(values).category
+        counts[category] += 1
+        if category == "OTHER":
+            witnesses.append({"table_index": index, "values": list(values)})
+    return counts, witnesses
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (1, 3, 3)],
+    ids=["k2b2n3", "k2b3n3", "k3b2n2", "k1b3n3"],
+)
+def test_search_counts_match_classifying_every_table(shape):
+    report = search(*shape, threads=1)
+    counts, witnesses = _search_by_index(*shape)
+    assert report.counts == counts
+    assert report.other_witnesses == witnesses
+    assert report.classified == report.total_space == sum(counts.values())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_expands_other_representatives_to_every_renaming(monkeypatch, threads):
+    class OtherHeavyClassifier(TableClassifier):
+        # every NOT-UIM table becomes OTHER: still invariant under argument
+        # permutation and output renaming
+        def classify_values(self, values):
+            c = super().classify_values(values)
+            if c.has_uim:
+                return c
+            return replace(c, has_uim=True, category="OTHER")
+
+    monkeypatch.setattr(analysis, "_classifiers", {})
+    monkeypatch.setattr(analysis, "TableClassifier", OtherHeavyClassifier)
+    report = search(2, 3, 3, threads=threads)
+    counts, witnesses = _search_by_index(2, 3, 3)
+    assert counts["OTHER"] == 6318
+    assert report.counts == counts
+    assert report.other_witnesses == witnesses
+
+
 @pytest.mark.parametrize(
     "args, kwargs, fingerprint",
     [
@@ -192,10 +260,15 @@ def test_search_rejects_a_classification_that_is_not_permutation_invariant(
          "06cd5be3dd7a92299ee8f242ca0ed59d2ed831c895e37acd37e7ae72ea11e33e"),
         ((3, 3, 2), {},
          "8cfa061e37e8451570051e097881f1d1f8bd1e11ba66699ea50704d260f7ec7f"),
+        ((2, 4, 3), {},
+         "a820f32ded774236da499ae9bd9c559f1cdce7d195d7806e7e748d8ed46c61a7"),
+        ((2, 3, 3), {},
+         "aac14372d5b49118db67eabc2edc0e165a70e13cc9ee862434f2e32acbd9c6d5"),
         ((2, 2, 5), {"mode": "sampled", "seed": 3, "samples": 25},
          "5acdd7838fb4dbc7923264a2db52cd5736c997d0678bf93cd94400864afc35f5"),
     ],
-    ids=["k2b2n3-exhaustive", "k3b3n2-exhaustive", "k2b2n5-sampled"],
+    ids=["k2b2n3-exhaustive", "k3b3n2-exhaustive", "k2b4n3-exhaustive",
+         "k2b3n3-exhaustive", "k2b2n5-sampled"],
 )
 def test_search_fingerprints_are_pinned(args, kwargs, fingerprint):
     assert search(*args, **kwargs).fingerprint() == fingerprint
@@ -228,9 +301,10 @@ def test_search_reports_are_reproducible():
 
 
 def test_search_parallel_matches_serial():
-    serial = search(2, 2, 3, mode="exhaustive", threads=1)
-    parallel = search(2, 2, 3, mode="exhaustive", threads=4)
-    assert serial.fingerprint() == parallel.fingerprint()
+    for shape, threads in (((2, 2, 3), 4), ((2, 3, 3), 2)):
+        serial = search(*shape, mode="exhaustive", threads=1)
+        parallel = search(*shape, mode="exhaustive", threads=threads)
+        assert serial.fingerprint() == parallel.fingerprint()
 
 
 def test_search_sampled_determinism():
@@ -288,6 +362,7 @@ def test_verify_suite_small_runs():
     assert verify_suite("prop-42", ks=(2, 3)).passed
     assert verify_suite("prop-52", cases=((3, 2),)).passed
     assert verify_suite("uim-2st", arities=(3,)).passed
+    assert verify_suite("renaming-invariance", k=3, b=2, n=2).passed
 
 
 def test_verify_suite_requires_large_arity_for_support_equivalences():

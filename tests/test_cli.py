@@ -225,6 +225,8 @@ def test_search_remap_guard_exit(capsys):
         (["--suite", "prop-52", "--k", "4", "--m", "3"], {"cases": ((4, 3),)}),
         (["--suite", "uim-2st", "--n", "3"], {"arities": (3,)}),
         (["--suite", "ofo-identities", "--k", "2"], {"k": 2}),
+        (["--suite", "renaming-invariance", "--k", "3", "--b", "2", "--n", "2"],
+         {"k": 3, "b": 2, "n": 2}),
     ],
 )
 def test_suite_params_from_flags(argv, params):

@@ -17,12 +17,13 @@ fingerprint hashes everything except wall-clock timing.
 """
 
 import hashlib
+import inspect
 import math
 import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import permutations, product
 from multiprocessing import get_context
 from operator import itemgetter
@@ -55,6 +56,7 @@ __all__ = [
     "sample_index",
     "search",
     "suite_names",
+    "suite_parameters",
     "verify_suite",
 ]
 
@@ -253,28 +255,21 @@ def has_uim(f) -> bool:
     )
 
 
-def _classify_restriction(pf) -> RestrictionSummary:
-    group = symmetry.invariance_group(pf)
-    return RestrictionSummary(
-        ofo_determined=decomp.ofo_decompose(pf) is not None,
-        equiv_ofo_determined=decomp.equiv_to_ofo_determined(pf) is not None,
-        two_set_transitive=symmetry.is_2_set_transitive(group),
-        two_set_transitive_degenerate=pf.arity == 2,
-        inv_group_order=group.order,
-    )
-
-
 def classify(f: FunctionTable) -> Classification:
     """Full classification of a total table.
 
     When the arity does not exceed the alphabet size, the repeat-free part of
     the domain carries no minor information, so the same tests on the
-    restriction to repeat tuples are attached as a sub-record.
+    restriction to repeat tuples are attached as a sub-record.  The same
+    classifier serves both: there every repeat-free tuple is its own ofo
+    fiber, and argument permutations keep the undefined entries undefined.
     """
     ctx = _classifier(f.domain_size, f.codomain_size, f.arity)
     c = ctx.classify_values(f.values)
     if f.arity <= f.domain_size:
-        c = replace(c, restriction=_classify_restriction(ftable.restrict_to_repeats(f)))
+        r = ctx.classify_values(ftable.restrict_to_repeats(f).values)
+        summary = {fld.name: getattr(r, fld.name) for fld in fields(RestrictionSummary)}
+        c = replace(c, restriction=RestrictionSummary(**summary))
     return c
 
 
@@ -523,22 +518,22 @@ class SuiteReport:
     elapsed_seconds: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "checked": self.checked,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
+        return asdict(self)
 
 
-def _suite_ofo_identities(params):
+def _whole_space(k, b, n):
+    """Every table of shape ``(k, b, n)`` as ``(index, values)``, in index
+    order; a space above ``EXHAUSTIVE_GUARD`` is rejected before the first."""
+    total = b ** (k**n)
+    if total > EXHAUSTIVE_GUARD:
+        raise ValueError("space exceeds the exhaustive guard")
+    size = k**n
+    return ((index, decode(index, size, b)) for index in range(total))
+
+
+def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     """ofo is idempotent, an associative string function, and a homomorphism
     onto first-occurrence products: checked over all short strings."""
-    k = params.get("k", 3)
-    max_len = params.get("max_len", 4)
-    triple_total = params.get("triple_total", 6)
     est = (k ** triple_total) * (triple_total + 1) * (triple_total + 2) // 2
     if est > 5_000_000:
         raise ValueError("ofo-identities guard exceeded; shrink k or triple_total")
@@ -573,31 +568,28 @@ def _suite_ofo_identities(params):
     return checked, None
 
 
-def _suite_collapse_insertion(params):
+def _suite_collapse_insertion(k=3, n=5):
     """Collapsing inserts a repeat after a first occurrence, so it never
-    changes the ofo image."""
-    max_domain = params.get("k", 3)
-    max_arity = params.get("n", 5)
+    changes the ofo image; over every domain size up to ``k`` and arity up
+    to ``n``."""
     checked = 0
-    for k in range(1, max_domain + 1):
-        for n in range(2, max_arity + 1):
-            for pair in IndexPair.all_pairs(n):
-                dm = collapse_map(pair, n)
-                for t in all_tuples(k, n - 1):
+    for domain_size in range(1, k + 1):
+        for arity in range(2, n + 1):
+            for pair in IndexPair.all_pairs(arity):
+                dm = collapse_map(pair, arity)
+                for t in all_tuples(domain_size, arity - 1):
                     checked += 1
                     if ofo(t) != ofo(apply_index_map(t, dm)):
                         return checked, (
-                            f"k={k}, n={n}, pair={pair.render()}, t={render_tuple(t)}"
+                            f"k={domain_size}, n={arity}, pair={pair.render()}, "
+                            f"t={render_tuple(t)}"
                         )
     return checked, None
 
 
-def _suite_ofo_factor_minors(params):
+def _suite_ofo_factor_minors(k=2, b=2, arities=(3, 4)):
     """Every identification minor of an ofo-determined table is the same
     table one arity down: exact equality, over every factor table."""
-    k = params.get("k", 2)
-    b = params.get("b", 2)
-    arities = params.get("arities", (3, 4))
     checked = 0
     for n in arities:
         max_len = min(n, k)
@@ -616,43 +608,38 @@ def _suite_ofo_factor_minors(params):
     return checked, None
 
 
-def _suite_collapse_permutation(params):
+def _suite_collapse_permutation(n=6):
     """The induced permutation on collapsed positions satisfies both of its
-    defining identities, for every (permutation, pair)."""
-    max_arity = params.get("n", 6)
+    defining identities, for every (permutation, pair) up to arity ``n``."""
     checked = 0
-    for n in range(2, max_arity + 1):
-        for sigma in Permutation.all_perms(n):
-            for pair in IndexPair.all_pairs(n):
+    for arity in range(2, n + 1):
+        for sigma in Permutation.all_perms(arity):
+            for pair in IndexPair.all_pairs(arity):
                 checked += 1
                 tau, pre = symmetry.collapse_permutation(sigma, pair)
-                lhs = tau.as_index_map().after(collapse_map(pre, n))
-                rhs = collapse_map(pair, n).after(sigma.as_index_map())
+                lhs = tau.as_index_map().after(collapse_map(pre, arity))
+                rhs = collapse_map(pair, arity).after(sigma.as_index_map())
                 if lhs.images != rhs.images or tau.images[pre.lo] != pair.lo:
-                    return checked, f"n={n}, sigma={sigma.one_line()}, pair={pair.render()}"
+                    return checked, (
+                        f"n={arity}, sigma={sigma.one_line()}, pair={pair.render()}"
+                    )
     return checked, None
 
 
-def _suite_support_equivalences(params):
+def _suite_support_equivalences(k=2, b=2, n=4):
     """Above arity domain_size + 1, three table classes coincide: totally
     symmetric ofo-determined, 2-set-transitive ofo-determined, and
     supp-determined; and members admit anchored minor equivalences for every
     pair of pairs."""
-    k = params.get("k", 2)
-    b = params.get("b", 2)
-    n = params.get("n", 4)
     if n <= k + 1:
         raise ValueError(f"requires arity > domain_size + 1, got n={n}, k={k}")
-    total = b ** (k**n)
-    if total > EXHAUSTIVE_GUARD:
-        raise ValueError("space exceeds the exhaustive guard")
+    tables = _whole_space(k, b, n)
     ctx = _classifier(k, b, n)
     ts_ofo = []
     tst_ofo = []
     supp_det = []
     checked = 0
-    for index in range(total):
-        vals = decode(index, ctx.size, b)
+    for index, vals in tables:
         checked += 1
         det = ctx.ofo_determined(vals)
         if det:
@@ -681,13 +668,10 @@ def _suite_support_equivalences(params):
     return checked, None
 
 
-def _suite_sporadic_total(params):
+def _suite_sporadic_total(ks=(2, 3, 4), alpha=1, beta=0):
     """The total sporadic family: value alpha exactly on the marked tuples,
     unique identification minor, no equivalence to an ofo-determined table,
     and (for domain size > 2) trivial invariance group."""
-    ks = params.get("ks", (2, 3, 4))
-    alpha = params.get("alpha", 1)
-    beta = params.get("beta", 0)
     checked = 0
     for k in ks:
         f = construct.sporadic_function(k, alpha, beta)
@@ -710,14 +694,11 @@ def _suite_sporadic_total(params):
     return checked, None
 
 
-def _suite_sporadic_partial(params):
+def _suite_sporadic_partial(cases=((3, 2), (4, 3), (4, 2)), alpha=1, beta=0):
     """The partial sporadic family on repeat tuples: every identification
     minor equivalent to the ofo-determined indicator, no equivalence to a
     partial ofo-determined table, and no 2-set-transitivity once the base
     arity reaches 3."""
-    cases = params.get("cases", ((3, 2), (4, 3), (4, 2)))
-    alpha = params.get("alpha", 1)
-    beta = params.get("beta", 0)
     checked = 0
     for k, m in cases:
         pf = construct.sporadic_partial_function(k, m, alpha, beta)
@@ -746,19 +727,13 @@ def _suite_sporadic_partial(params):
     return checked, None
 
 
-def _suite_two_set_transitive_uim(params):
+def _suite_two_set_transitive_uim(k=2, b=2, arities=(3, 4)):
     """Every 2-set-transitive table has a unique identification minor."""
-    k = params.get("k", 2)
-    b = params.get("b", 2)
-    arities = params.get("arities", (3, 4))
     checked = 0
     for n in arities:
-        total = b ** (k**n)
-        if total > EXHAUSTIVE_GUARD:
-            raise ValueError("space exceeds the exhaustive guard")
+        tables = _whole_space(k, b, n)
         ctx = _classifier(k, b, n)
-        for index in range(total):
-            vals = decode(index, ctx.size, b)
+        for index, vals in tables:
             if ctx.two_set_transitive(ctx.invariant_perm_ids(vals)):
                 checked += 1
                 if not ctx.has_uim(vals):
@@ -766,16 +741,11 @@ def _suite_two_set_transitive_uim(params):
     return checked, None
 
 
-def _suite_renaming_invariance(params):
+def _suite_renaming_invariance(k=2, b=3, n=3):
     """Classification is unchanged when the output values are renamed or the
     domain symbols are renamed in every argument, over a whole table space:
     exhaustive search classifies one table per output renaming."""
-    k = params.get("k", 2)
-    b = params.get("b", 3)
-    n = params.get("n", 3)
-    total = b ** (k**n)
-    if total > EXHAUSTIVE_GUARD:
-        raise ValueError("space exceeds the exhaustive guard")
+    tables = _whole_space(k, b, n)
     ctx = _classifier(k, b, n)
     renamings = list(permutations(range(b)))[1:]
     # Pulling a table back along one of these is renaming domain symbols.
@@ -784,8 +754,7 @@ def _suite_renaming_invariance(params):
         for pi in list(permutations(range(k)))[1:]
     }
     checked = 0
-    for index in range(total):
-        vals = decode(index, ctx.size, b)
+    for index, vals in tables:
         c = ctx.classify_values(vals)
         for names in renamings:
             checked += 1
@@ -815,13 +784,29 @@ def suite_names():
     return sorted(_SUITES)
 
 
-def verify_suite(name: str, **params) -> SuiteReport:
-    """Run one verification suite; ``passed`` means zero counterexamples."""
+def suite_parameters(name: str) -> tuple:
+    """The names of the parameters suite ``name`` takes."""
     fn = _SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
+    return tuple(inspect.signature(fn).parameters)
+
+
+def verify_suite(name: str, **params) -> SuiteReport:
+    """Run one verification suite; ``passed`` means zero counterexamples.
+
+    ``params`` override the suite's defaults (see :func:`suite_parameters`)
+    and are reported as given; a name the suite does not take is rejected.
+    """
+    accepted = suite_parameters(name)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"suite {name!r} takes no parameter {', '.join(unknown)}; "
+            f"it accepts {', '.join(accepted)}"
+        )
     started = time.perf_counter()
-    checked, counterexample = fn(params)
+    checked, counterexample = _SUITES[name](**params)
     return SuiteReport(
         suite=name,
         params=params,

@@ -5,6 +5,11 @@ Subcommands: ``minors``, ``check``, ``classify``, ``ofo``, ``construct prop4``,
 pass, 1 on a verification failure / counterexample, 2 on usage or format
 errors.
 
+``verify`` passes each integer flag to the suite parameter of the same name,
+read off the suite's signature; ``--n``, ``--k`` and ``--k --m`` also give the
+one-entry tuples ``arities``, ``ks`` and ``cases``.  A flag the chosen suite
+does not read is a usage error.
+
 Conventions: files, ``--json`` output, and symbol-valued flags (``--alpha``,
 ``--beta``) use 0-based symbols; human-readable output renders tuples,
 permutations, and pairs 1-based.  ``UIMLAB_THREADS`` caps search parallelism.
@@ -13,6 +18,7 @@ permutations, and pairs 1-based.  ``UIMLAB_THREADS`` caps search parallelism.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import analysis, construct, ftable
 from .ftable import TableFormatError, canonical_dumps
@@ -58,26 +64,9 @@ def cmd_check(args) -> int:
 
 
 def _classification_obj(c) -> dict:
-    obj = {
-        "has_uim": c.has_uim,
-        "totally_symmetric": c.totally_symmetric,
-        "two_set_transitive": c.two_set_transitive,
-        "two_set_transitive_degenerate": c.two_set_transitive_degenerate,
-        "ofo_determined": c.ofo_determined,
-        "equiv_ofo_determined": c.equiv_ofo_determined,
-        "supp_determined": c.supp_determined,
-        "inv_group_order": c.inv_group_order,
-        "category": c.category,
-    }
-    if c.restriction is not None:
-        r = c.restriction
-        obj["restriction"] = {
-            "ofo_determined": r.ofo_determined,
-            "equiv_ofo_determined": r.equiv_ofo_determined,
-            "two_set_transitive": r.two_set_transitive,
-            "two_set_transitive_degenerate": r.two_set_transitive_degenerate,
-            "inv_group_order": r.inv_group_order,
-        }
+    obj = asdict(c)
+    if c.restriction is None:
+        del obj["restriction"]
     return obj
 
 
@@ -144,30 +133,48 @@ def cmd_construct(args) -> int:
     return 0
 
 
-_SUITE_PARAM_KEYS = {
-    "ofo-identities": ("k", "max_len", "triple_total"),
-    "lemma-ofodeltaI": ("k", "n"),
-    "prop-ofominor": ("k", "b", "arities"),
-    "lemma-hatsigma": ("n",),
-    "prop-suppord": ("k", "b", "n"),
-    "prop-42": ("ks", "alpha", "beta"),
-    "prop-52": ("cases", "alpha", "beta"),
-    "uim-2st": ("k", "b", "arities"),
-    "renaming-invariance": ("k", "b", "n"),
+# Integer flags of ``verify``; a suite parameter of the same name takes the
+# flag's value.
+_SUITE_FLAGS = ("k", "b", "n", "m", "max_len", "triple_total", "alpha", "beta")
+
+# Suite parameters that are tuples: the flags each reads and how it is built.
+_TUPLE_PARAMS = {
+    "arities": (("n",), lambda n: (n,)),
+    "ks": (("k",), lambda k: (k,)),
+    "cases": (("k", "m"), lambda k, m: ((k, m),)),
 }
 
 
+def _flag(name) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _reads(name):
+    """The flags suite parameter ``name`` reads, and how it is built from them."""
+    return _TUPLE_PARAMS.get(name, ((name,), lambda v: v))
+
+
 def _suite_params(args) -> dict:
-    derived = {
-        "arities": None if args.n is None else (args.n,),
-        "ks": None if args.k is None else (args.k,),
-        "cases": None if None in (args.k, args.m) else ((args.k, args.m),),
-    }
-    params = {
-        key: derived[key] if key in derived else getattr(args, key)
-        for key in _SUITE_PARAM_KEYS.get(args.suite, ())
-    }
-    return {key: v for key, v in params.items() if v is not None}
+    """The chosen suite's parameters from the given flags.  A given flag
+    that no parameter of the suite reads is a usage error."""
+    given = {f: v for f in _SUITE_FLAGS if (v := getattr(args, f)) is not None}
+    accepted = analysis.suite_parameters(args.suite)
+    params, used = {}, set()
+    for name in accepted:
+        flags, make = _reads(name)
+        if all(f in given for f in flags):
+            params[name] = make(*(given[f] for f in flags))
+            used.update(flags)
+    unused = [_flag(f) for f in given if f not in used]
+    if unused:
+        takes = ", ".join(
+            f"{name} ({' with '.join(map(_flag, _reads(name)[0]))})"
+            for name in accepted
+        )
+        raise ValueError(
+            f"suite {args.suite!r} cannot use {', '.join(unused)}; it takes {takes}"
+        )
+    return params
 
 
 def cmd_verify(args) -> int:
@@ -268,14 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=analysis.suite_names())
-    p.add_argument("--k", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--triple-total", dest="triple_total", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--beta", type=int)
+    for name in _SUITE_FLAGS:
+        p.add_argument(_flag(name), dest=name, type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -76,10 +76,6 @@ class GluingSpec:
     twists: dict
     pairing: dict
 
-    @property
-    def result_arity(self) -> int:
-        return self.base_arity + 1
-
 
 def validate(spec: GluingSpec) -> list:
     """All constraint violations, as human-readable strings (empty if valid).
@@ -135,14 +131,14 @@ def validate(spec: GluingSpec) -> list:
     return out
 
 
-def build(spec: GluingSpec, check: bool = True):
+def build(spec: GluingSpec):
     """Assemble the glued function.
 
     Every domain tuple with a repeated pair of entries is the pullback of a
     unique shorter tuple along that pair's collapse map; its value is the
-    paired minor evaluated at the twisted short tuple.  With ``check`` on, all
-    decompositions of each tuple are evaluated and must agree (guaranteed once
-    :func:`validate` passes, but cheap to confirm at these sizes).
+    paired minor evaluated at the twisted short tuple.  All decompositions of
+    each tuple are evaluated and must agree (guaranteed once :func:`validate`
+    passes, but cheap to confirm at these sizes).
     """
     problems = validate(spec)
     if problems:
@@ -158,7 +154,7 @@ def build(spec: GluingSpec, check: bool = True):
             v = minor_vals[j]
             if vals[i] is None:
                 vals[i] = v
-            elif check and v != vals[i]:
+            elif v != vals[i]:
                 raise RuntimeError(
                     f"inconsistent gluing at {render_tuple(decode(i, n, k))}"
                 )

@@ -127,32 +127,51 @@ class SuppTable:
         return cls(domain_size, codomain_size, max_size, {s: value for s in keys})
 
 
-def compose_ofo(f_star: OfoTable, arity: int) -> FunctionTable:
-    """The arity-``arity`` table sending ``t`` to ``f_star(ofo(t))``."""
+def _compose(table, arity, key, covers, what) -> FunctionTable:
+    """The arity-``arity`` table sending ``t`` to ``table`` at ``key(t)``;
+    ``table`` covers keys of sizes up to ``covers``."""
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
-    k = f_star.domain_size
-    if f_star.max_len < min(arity, k):
-        raise ValueError(
-            f"ofo table covers lengths up to {f_star.max_len}, need {min(arity, k)}"
-        )
-    entries = f_star.entries
-    vals = tuple(entries[ofo(t)] for t in all_tuples(k, arity))
-    return FunctionTable(k, f_star.codomain_size, arity, vals)
+    k = table.domain_size
+    if covers < min(arity, k):
+        raise ValueError(f"{what} up to {covers}, need {min(arity, k)}")
+    entries = table.entries
+    vals = tuple(entries[key(t)] for t in all_tuples(k, arity))
+    return FunctionTable(k, table.codomain_size, arity, vals)
+
+
+def compose_ofo(f_star: OfoTable, arity: int) -> FunctionTable:
+    """The arity-``arity`` table sending ``t`` to ``f_star(ofo(t))``."""
+    return _compose(f_star, arity, ofo, f_star.max_len, "ofo table covers lengths")
 
 
 def compose_supp(f_prime: SuppTable, arity: int) -> FunctionTable:
     """The arity-``arity`` table sending ``t`` to ``f_prime(supp(t))``."""
-    if arity < 1:
-        raise ValueError(f"arity must be >= 1, got {arity}")
-    k = f_prime.domain_size
-    if f_prime.max_size < min(arity, k):
-        raise ValueError(
-            f"supp table covers sizes up to {f_prime.max_size}, need {min(arity, k)}"
-        )
-    entries = f_prime.entries
-    vals = tuple(entries[frozenset(t)] for t in all_tuples(k, arity))
-    return FunctionTable(k, f_prime.codomain_size, arity, vals)
+    return _compose(
+        f_prime, arity, frozenset, f_prime.max_size, "supp table covers sizes"
+    )
+
+
+def _decompose(f, key, domain, table_cls):
+    """Factor ``f`` through ``key`` into a ``table_cls`` over the keys
+    ``domain(k, min(n, k))``, or ``None`` if ``f`` is not constant on a fiber."""
+    k, b, n = f.domain_size, f.codomain_size, f.arity
+    seen = {}
+    for t, v in zip(all_tuples(k, n), f.values):
+        if v is None:
+            continue
+        if seen.setdefault(key(t), v) != v:
+            return None
+    max_size = min(n, k)
+    entries = {}
+    free = []
+    for r in domain(k, max_size):
+        if r in seen:
+            entries[r] = seen[r]
+        else:
+            entries[r] = 0
+            free.append(r)
+    return table_cls(k, b, max_size, entries, frozenset(free))
 
 
 def ofo_decompose(f):
@@ -163,47 +182,13 @@ def ofo_decompose(f):
     domain, else ``None``.  Keys whose fiber misses the domain get value 0 and
     are flagged unconstrained.  Accepts total and partial tables.
     """
-    k, b, n = f.domain_size, f.codomain_size, f.arity
-    seen = {}
-    for t, v in zip(all_tuples(k, n), f.values):
-        if v is None:
-            continue
-        key = ofo(t)
-        if seen.setdefault(key, v) != v:
-            return None
-    max_len = min(n, k)
-    entries = {}
-    free = []
-    for r in _ofo_domain(k, max_len):
-        if r in seen:
-            entries[r] = seen[r]
-        else:
-            entries[r] = 0
-            free.append(r)
-    return OfoTable(k, b, max_len, entries, frozenset(free))
+    return _decompose(f, ofo, _ofo_domain, OfoTable)
 
 
 def supp_decompose(f):
     """Factor ``f`` through ``supp`` if possible (same contract as
     :func:`ofo_decompose`, with symbol sets for keys)."""
-    k, b, n = f.domain_size, f.codomain_size, f.arity
-    seen = {}
-    for t, v in zip(all_tuples(k, n), f.values):
-        if v is None:
-            continue
-        key = frozenset(t)
-        if seen.setdefault(key, v) != v:
-            return None
-    max_size = min(n, k)
-    entries = {}
-    free = []
-    for s in _supp_domain(k, max_size):
-        if s in seen:
-            entries[s] = seen[s]
-        else:
-            entries[s] = 0
-            free.append(s)
-    return SuppTable(k, b, max_size, entries, frozenset(free))
+    return _decompose(f, frozenset, _supp_domain, SuppTable)
 
 
 def equiv_to_ofo_determined(f):

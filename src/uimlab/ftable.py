@@ -135,14 +135,6 @@ class PartialFunctionTable:
     def defined_count(self) -> int:
         return sum(1 for v in self.values if v is not None)
 
-    @classmethod
-    def on_repeats(cls, domain_size, codomain_size, arity, fn):
-        """Table defined exactly on the tuples with a repeated entry."""
-        vals = tuple(
-            fn(t) if has_repeat(t) else None for t in all_tuples(domain_size, arity)
-        )
-        return cls(domain_size, codomain_size, arity, vals)
-
 
 def restrict_to_repeats(f: FunctionTable) -> PartialFunctionTable:
     """Drop the values of ``f`` on repeat-free tuples.  Identification minors

@@ -8,6 +8,7 @@ import pytest
 from uimlab import analysis
 from uimlab.analysis import (
     Classification,
+    RestrictionSummary,
     TableClassifier,
     classify,
     has_uim,
@@ -24,8 +25,13 @@ from uimlab.decomp import (
     ofo_decompose,
     supp_decompose,
 )
-from uimlab.ftable import FunctionTable
-from uimlab.symmetry import is_2_set_transitive_fn, is_totally_symmetric
+from uimlab.ftable import FunctionTable, restrict_to_repeats
+from uimlab.symmetry import (
+    invariance_group,
+    is_2_set_transitive,
+    is_2_set_transitive_fn,
+    is_totally_symmetric,
+)
 from uimlab.tuples import Permutation, apply_index_map, decode
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
@@ -86,10 +92,10 @@ def test_classify_attaches_restriction_at_small_arity():
 
 
 def _agreement_tables(k, b, n):
-    """Every table at (2,2,3) and (1,2,3); elsewhere, as at (3,2,4), where all
-    24 permuted ofo fiber systems differ, seeded random tables plus
-    argument-permuted ofo-determined ones."""
-    if (k, b, n) in ((2, 2, 3), (1, 2, 3)):
+    """Every table at (2,2,3), (1,2,3), (2,2,2) and (3,2,2); elsewhere, as at
+    (3,2,4), where all 24 permuted ofo fiber systems differ, seeded random
+    tables plus argument-permuted ofo-determined ones."""
+    if (k, b, n) in ((2, 2, 3), (1, 2, 3), (2, 2, 2), (3, 2, 2)):
         return [decode(index, k**n, b) for index in range(b ** (k**n))]
     rng = random.Random(11)
     tables = [tuple(rng.randrange(b) for _ in range(k**n)) for _ in range(30)]
@@ -126,6 +132,30 @@ def test_classifier_agrees_with_the_direct_operations(shape):
         seen_equiv_ofo.add(c.equiv_ofo_determined)
     # at k = 1 every table has one entry, so every table is ofo-determined
     assert seen_equiv_ofo == ({True} if shape[0] == 1 else {True, False})
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 2), (3, 2, 2), (3, 2, 3), (4, 2, 3)],
+    ids=["k2b2n2", "k3b2n2", "k3b2n3", "k4b2n3"],
+)
+def test_restriction_record_agrees_with_the_direct_operations(shape):
+    seen_equiv_ofo = set()
+    for vals in _agreement_tables(*shape):
+        f = FunctionTable(*shape, vals)
+        pf = restrict_to_repeats(f)
+        group = invariance_group(pf)
+        r = classify(f).restriction
+        assert r == RestrictionSummary(
+            ofo_determined=ofo_decompose(pf) is not None,
+            equiv_ofo_determined=equiv_to_ofo_determined(pf) is not None,
+            two_set_transitive=is_2_set_transitive(group),
+            two_set_transitive_degenerate=pf.arity == 2,
+            inv_group_order=group.order,
+        )
+        seen_equiv_ofo.add(r.equiv_ofo_determined)
+    # at arity 2 the repeat tuples are the constant ones, each its own ofo fiber
+    assert seen_equiv_ofo == ({True} if shape[2] == 2 else {True, False})
 
 
 def test_classifier_guards_its_remap_size(monkeypatch):
@@ -363,6 +393,33 @@ def test_verify_suite_small_runs():
     assert verify_suite("prop-52", cases=((3, 2),)).passed
     assert verify_suite("uim-2st", arities=(3,)).passed
     assert verify_suite("renaming-invariance", k=3, b=2, n=2).passed
+
+
+# Checks each suite makes at its defaults, as counted before the suites took
+# keyword defaults; each suite runs in under a second.
+DEFAULT_CHECKS = {
+    "ofo-identities": 34293,
+    "lemma-ofodeltaI": 1244,
+    "prop-ofominor": 144,
+    "lemma-hatsigma": 12164,
+    "prop-suppord": 65824,
+    "prop-42": 1121,
+    "prop-52": 16,
+    "uim-2st": 48,
+    "renaming-invariance": 39366,
+}
+
+
+def test_suite_defaults_are_pinned():
+    assert sorted(DEFAULT_CHECKS) == analysis.suite_names()
+    for name, checks in DEFAULT_CHECKS.items():
+        report = verify_suite(name)
+        assert (report.passed, report.checked, report.params) == (True, checks, {})
+
+
+def test_verify_suite_rejects_a_parameter_it_does_not_take():
+    with pytest.raises(ValueError, match="prop-ofominor.*arities"):
+        verify_suite("prop-ofominor", arity=(3,))
 
 
 def test_verify_suite_requires_large_arity_for_support_equivalences():

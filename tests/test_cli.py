@@ -82,6 +82,36 @@ def test_classify_human_and_json(tmp_path, capsys):
     assert data["inv_group_order"] == 1
 
 
+# classify --json output, byte for byte, for a table without a restriction
+# record (arity above the alphabet) and one with it.
+CLASSIFY_JSON = [
+    (
+        sporadic_function(3),
+        '{"category":"OTHER","equiv_ofo_determined":false,"has_uim":true,'
+        '"inv_group_order":1,"ofo_determined":false,"supp_determined":false,'
+        '"totally_symmetric":false,"two_set_transitive":false,'
+        '"two_set_transitive_degenerate":false}\n',
+    ),
+    (
+        FunctionTable.from_callable(3, 2, 3, lambda t: int(t[0] == 1)),
+        '{"category":"OFO-EQ","equiv_ofo_determined":true,"has_uim":true,'
+        '"inv_group_order":2,"ofo_determined":true,"restriction":'
+        '{"equiv_ofo_determined":true,"inv_group_order":2,"ofo_determined":true,'
+        '"two_set_transitive":false,"two_set_transitive_degenerate":false},'
+        '"supp_determined":false,"totally_symmetric":false,'
+        '"two_set_transitive":false,"two_set_transitive_degenerate":false}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("table, expected", CLASSIFY_JSON, ids=["k3n4", "k3n3"])
+def test_classify_json_is_pinned(tmp_path, capsys, table, expected):
+    path = tmp_path / "f.json"
+    save_table(table, path)
+    assert cli.main(["classify", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_classify_rejects_partial(tmp_path):
     path = tmp_path / "p.json"
     save_table(sporadic_partial_function(3, 2), path)
@@ -177,6 +207,11 @@ def test_verify_failure_exit(monkeypatch, capsys):
 def test_verify_bad_params_exit(capsys):
     assert cli.main(["verify", "--suite", "prop-suppord", "--k", "3",
                      "--n", "4"]) == 2
+
+
+def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
+    assert cli.main(["verify", "--suite", "lemma-hatsigma", "--k", "3"]) == 2
+    assert "cannot use --k" in capsys.readouterr().err
 
 
 def test_search_human_output(capsys):

@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from uimlab import construct
 from uimlab.construct import (
     GluingSpec,
     build,
@@ -220,13 +222,20 @@ def test_build_minors_match_the_prescription_partial(seed):
         assert are_equivalent_same_arity(minor, prescribed) is not None
 
 
-def test_build_choice_independence_sweep():
-    # build with the consistency sweep enabled must agree with the fast path
-    for k in (2, 3):
-        spec = sporadic_spec(k)
-        assert build(spec, check=True).values == build(spec, check=False).values
-    spec = sporadic_partial_spec(4, 3)
-    assert build(spec, check=True).values == build(spec, check=False).values
+def test_build_rejects_an_inconsistent_gluing(monkeypatch):
+    # One prescribed minor disagrees with the base at (0, 0, 0), so validate
+    # rejects the spec; with validate bypassed, build's own comparison of
+    # every decomposition must still catch it.
+    spec = sporadic_spec(3)
+    pair = IndexPair(0, 1)
+    vals = list(spec.minors[pair].values)
+    vals[0] = 1 - vals[0]
+    minors = {**spec.minors, pair: FunctionTable(3, 2, 3, vals)}
+    spec = replace(spec, minors=minors)
+    assert validate(spec)
+    monkeypatch.setattr(construct, "validate", lambda spec: [])
+    with pytest.raises(RuntimeError, match="inconsistent gluing"):
+        build(spec)
 
 
 def test_spec_json_round_trip(tmp_path):

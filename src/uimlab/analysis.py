@@ -71,6 +71,9 @@ TABLE_SIZE_GUARD = 1 << 20
 # Largest permutation remap (n! * k**n entries) a classifier will build.
 REMAP_GUARD = 1 << 24
 
+# Most checks a verification suite that loops over its parameters will make.
+SUITE_GUARD = 5_000_000
+
 
 @dataclass(frozen=True)
 class RestrictionSummary:
@@ -125,6 +128,12 @@ class TableClassifier:
     A permuted table is ofo-determined exactly when the table itself is
     constant on every ofo fiber mapped back through the permutation, and
     those mapped fiber systems are built once here too.
+
+    :meth:`classify_values` answers every question about one table.
+    :meth:`search_category` answers only the search's, and settles a table
+    without a unique identification minor at the first pair whose minor
+    falls outside the orbit, checking there that the table is neither 2ST
+    nor OFO-EQ; only the other tables are classified in full.
     """
 
     def __init__(self, domain_size: int, codomain_size: int, arity: int):
@@ -144,7 +153,13 @@ class TableClassifier:
 
         self.perms = list(permutations(range(n)))
         self.perm_remaps = [pullback_remap(k, sig, n) for sig in self.perms]
+        self.perm_entries = list(enumerate(self.perm_remaps))
         self.pairs = list(IndexPair.all_pairs(n))
+        # The 2 * (n-2)! permutations sending the pair {0, 1} onto each pair.
+        pair_index = {frozenset((pair.lo, pair.hi)): p for p, pair in enumerate(self.pairs)}
+        self.pair_perm_entries = [[] for _ in self.pairs]
+        for s, remap in self.perm_entries:
+            self.pair_perm_entries[pair_index[frozenset(self.perms[s][:2])]].append((s, remap))
         self.minors = [
             _tuple_getter(pullback_remap(k, collapse_map(pair, n).images, n - 1))
             for pair in self.pairs
@@ -170,14 +185,24 @@ class TableClassifier:
             systems.setdefault(frozenset(map(tuple, mapped)), mapped)
         self.permuted_ofo_fibers = list(systems.values())
 
-    def has_uim(self, vals) -> bool:
-        first, *rest = (minor(vals) for minor in self.minors)
-        orbit = {perm(first) for perm in self.sub_perms}
-        return all(m in orbit for m in rest)
+    def first_failing_pair(self, vals):
+        """Index of the first pair whose minor lies outside the orbit of the
+        minor for {0, 1}, or None when the minor is unique."""
+        minors = self.minors
+        orbit = {perm(minors[0](vals)) for perm in self.sub_perms}
+        for p in range(1, len(minors)):
+            if minors[p](vals) not in orbit:
+                return p
+        return None
 
-    def invariant_perm_ids(self, vals):
+    def has_uim(self, vals) -> bool:
+        return self.first_failing_pair(vals) is None
+
+    def invariant_perm_ids(self, vals, candidates=None):
+        """Ids of the permutations leaving ``vals`` unchanged, among the
+        ``(id, remap)`` candidates (by default all n! permutations)."""
         out = []
-        for s, remap in enumerate(self.perm_remaps):
+        for s, remap in self.perm_entries if candidates is None else candidates:
             for i, j in enumerate(remap):
                 if vals[i] != vals[j]:
                     break
@@ -225,6 +250,26 @@ class TableClassifier:
             inv_group_order=len(inv_ids),
             category=_categorize(uim, two_set, equiv_ofo),
         )
+
+    def search_category(self, values):
+        """``(category, has_uim)`` of one table, as :meth:`classify_values`
+        gives them.  A table without a unique identification minor fails at
+        some pair p; it is checked there to be neither 2ST (no invariant
+        permutation sends {0, 1} onto p) nor OFO-EQ, since either would give
+        it a unique minor, and is not classified further."""
+        vals = tuple(values)
+        p = self.first_failing_pair(vals)
+        if p is None:
+            c = self.classify_values(vals)
+            return c.category, c.has_uim
+        if (self.invariant_perm_ids(vals, self.pair_perm_entries[p])
+                or self.equiv_ofo_determined(vals)):
+            raise RuntimeError(
+                f"classification inconsistency at table "
+                f"{encode(vals, self.codomain_size)}: category preconditions "
+                f"guarantee a unique identification minor"
+            )
+        return "NOT-UIM", False
 
 
 _classifiers = {}
@@ -360,10 +405,11 @@ def _renamings(values, b):
 
 
 def _search_chunk(args):
-    """Classify one part of a search and run both self-checks on it: the
-    category preconditions imply a unique identification minor, and each
-    spot-checked table's permuted copies classify like the table the main
-    loop classified for it.
+    """Classify one part of a search and run both self-checks on it:
+    :meth:`TableClassifier.search_category` checks that a table without a
+    unique identification minor is neither 2ST nor OFO-EQ, and each
+    spot-checked table's permuted copies, classified in full, classify like
+    the table the main loop classified for it.
 
     An exhaustive part is every representative extending a restricted-growth
     prefix; each stands for ``b!/(b-r)!`` tables, its renamings onto ``r``
@@ -381,20 +427,15 @@ def _search_chunk(args):
     counts = Counter()
     witnesses = []
     for values in tables:
-        c = ctx.classify_values(values)
-        if (c.two_set_transitive or c.equiv_ofo_determined) and not c.has_uim:
-            raise RuntimeError(
-                f"classification inconsistency at table {encode(values, b)}: "
-                f"category preconditions guarantee a unique identification minor"
-            )
+        category, uim = ctx.search_category(values)
         for index, copy in spot_checks.pop(values, ()):
             cp = ctx.classify_values(copy)
-            if (c.category, c.has_uim) != (cp.category, cp.has_uim):
+            if (category, uim) != (cp.category, cp.has_uim):
                 raise RuntimeError(
                     f"classification is not permutation-invariant at table {index}"
                 )
-        counts[c.category] += math.perm(b, max(values) + 1) if exhaustive else 1
-        if c.category == "OTHER":
+        counts[category] += math.perm(b, max(values) + 1) if exhaustive else 1
+        if category == "OTHER":
             renamed = _renamings(values, b) if exhaustive else (values,)
             witnesses.extend(
                 {"table_index": encode(t, b), "values": list(t)} for t in renamed
@@ -521,6 +562,15 @@ class SuiteReport:
         return asdict(self)
 
 
+def _guard_suite(name, checks):
+    """Reject a suite run whose estimated checks exceed ``SUITE_GUARD``."""
+    if checks > SUITE_GUARD:
+        raise ValueError(
+            f"{name}: these parameters need more checks than the suite guard "
+            f"{SUITE_GUARD}; shrink them"
+        )
+
+
 def _whole_space(k, b, n):
     """Every table of shape ``(k, b, n)`` as ``(index, values)``, in index
     order; a space above ``EXHAUSTIVE_GUARD`` is rejected before the first."""
@@ -534,9 +584,10 @@ def _whole_space(k, b, n):
 def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     """ofo is idempotent, an associative string function, and a homomorphism
     onto first-occurrence products: checked over all short strings."""
-    est = (k ** triple_total) * (triple_total + 1) * (triple_total + 2) // 2
-    if est > 5_000_000:
-        raise ValueError("ofo-identities guard exceeded; shrink k or triple_total")
+    _guard_suite(
+        "ofo-identities",
+        (k ** triple_total) * (triple_total + 1) * (triple_total + 2) // 2,
+    )
     checked = 0
     for length in range(max_len + 1):
         for t in product(range(k), repeat=length):
@@ -572,6 +623,11 @@ def _suite_collapse_insertion(k=3, n=5):
     """Collapsing inserts a repeat after a first occurrence, so it never
     changes the ofo image; over every domain size up to ``k`` and arity up
     to ``n``."""
+    _guard_suite("lemma-ofodeltaI", sum(
+        math.comb(arity, 2) * domain_size ** (arity - 1)
+        for domain_size in range(1, k + 1)
+        for arity in range(2, n + 1)
+    ))
     checked = 0
     for domain_size in range(1, k + 1):
         for arity in range(2, n + 1):
@@ -590,6 +646,13 @@ def _suite_collapse_insertion(k=3, n=5):
 def _suite_ofo_factor_minors(k=2, b=2, arities=(3, 4)):
     """Every identification minor of an ofo-determined table is the same
     table one arity down: exact equality, over every factor table."""
+    # A factor table has a value for each repeat-free key of length 1..min(n, k).
+    # Beyond the guard's bit length, b ** keys exceeds the guard for any b >= 2.
+    key_counts = [sum(math.perm(k, i) for i in range(1, min(n, k) + 1)) for n in arities]
+    _guard_suite("prop-ofominor", sum(
+        math.comb(n, 2) * b ** min(keys, SUITE_GUARD.bit_length())
+        for n, keys in zip(arities, key_counts)
+    ))
     checked = 0
     for n in arities:
         max_len = min(n, k)
@@ -611,6 +674,9 @@ def _suite_ofo_factor_minors(k=2, b=2, arities=(3, 4)):
 def _suite_collapse_permutation(n=6):
     """The induced permutation on collapsed positions satisfies both of its
     defining identities, for every (permutation, pair) up to arity ``n``."""
+    _guard_suite("lemma-hatsigma", sum(
+        math.factorial(arity) * math.comb(arity, 2) for arity in range(2, n + 1)
+    ))
     checked = 0
     for arity in range(2, n + 1):
         for sigma in Permutation.all_perms(arity):

@@ -12,7 +12,9 @@ does not read is a usage error.
 
 Conventions: files, ``--json`` output, and symbol-valued flags (``--alpha``,
 ``--beta``) use 0-based symbols; human-readable output renders tuples,
-permutations, and pairs 1-based.  ``UIMLAB_THREADS`` caps search parallelism.
+permutations, and pairs 1-based.  ``search --threads N`` sets how many worker
+processes a search may use, at most one per CPU; without it
+``UIMLAB_THREADS`` does (default 1).  Reports are identical for every count.
 """
 
 import argparse
@@ -192,8 +194,11 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     mode = "exhaustive" if args.exhaustive else "sampled"
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("--threads needs a positive worker count")
     report = analysis.search(
-        args.k, args.b, args.n, mode=mode, seed=args.seed, samples=args.samples
+        args.k, args.b, args.n, mode=mode, seed=args.seed, samples=args.samples,
+        threads=args.threads,
     )
     obj = report.to_json_obj()
     obj["fingerprint"] = report.fingerprint()
@@ -288,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes (default: UIMLAB_THREADS, else 1)")
     p.add_argument("--report", help="write the JSON report to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)

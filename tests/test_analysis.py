@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from dataclasses import replace
@@ -19,8 +20,10 @@ from uimlab.analysis import (
 from uimlab.construct import sporadic_function
 from uimlab.decomp import (
     OfoTable,
+    SuppTable,
     _ofo_domain,
     compose_ofo,
+    compose_supp,
     equiv_to_ofo_determined,
     ofo_decompose,
     supp_decompose,
@@ -158,6 +161,87 @@ def test_restriction_record_agrees_with_the_direct_operations(shape):
     assert seen_equiv_ofo == ({True} if shape[2] == 2 else {True, False})
 
 
+def _staged_tables(k, b, n):
+    """Every table of a space of at most 2**16; beyond, the seeded random and
+    argument-permuted ofo-determined tables of :func:`_agreement_tables`
+    plus seeded supp-determined tables."""
+    if b ** (k**n) <= 1 << 16:
+        return [decode(index, k**n, b) for index in range(b ** (k**n))]
+    rng = random.Random(23)
+    supp = [
+        compose_supp(
+            SuppTable.from_values(k, b, k, [rng.randrange(b) for _ in range(2**k - 1)]), n
+        ).values
+        for _ in range(10)
+    ]
+    return _agreement_tables(k, b, n) + supp
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 2), (2, 2, 6)],
+    ids=["k2b2n3", "k2b2n4", "k2b3n3", "k3b2n2", "k2b2n6"],
+)
+def test_search_category_agrees_with_classify_values(shape):
+    ctx = TableClassifier(*shape)
+    seen = set()
+    for vals in _staged_tables(*shape):
+        c = ctx.classify_values(vals)
+        assert ctx.search_category(vals) == (c.category, c.has_uim)
+        seen.add(c.category)
+    if shape[2] == 2:
+        # a single pair: every table is 2ST and takes the full path
+        assert seen == {"2ST"}
+    else:
+        # both the staged path and the full one are taken
+        assert "NOT-UIM" in seen and len(seen) > 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_candidates_partition_the_permutations(n):
+    ctx = TableClassifier(2, 2, n)
+    ids = [s for entries in ctx.pair_perm_entries for s, _ in entries]
+    assert sorted(ids) == list(range(math.factorial(n)))
+    for pair, entries in zip(ctx.pairs, ctx.pair_perm_entries):
+        assert len(entries) == 2 * math.factorial(n - 2)
+        for s, remap in entries:
+            assert {ctx.perms[s][0], ctx.perms[s][1]} == {pair.lo, pair.hi}
+            assert remap is ctx.perm_remaps[s]
+
+
+def _permuted_ofo_eq_table():
+    """An OFO-EQ table at (2,2,3) that is not ofo-determined itself and that
+    no permutation sending {0, 1} onto {0, 2} leaves unchanged."""
+    f = compose_ofo(OfoTable.from_values(2, 2, 2, (0, 1, 1, 0)), 3)
+    sigma = Permutation((2, 0, 1))
+    return FunctionTable.from_callable(2, 2, 3, lambda t: f(apply_index_map(t, sigma))).values
+
+
+@pytest.mark.parametrize(
+    "target, two_set, equiv_ofo",
+    [
+        ((0,) * 8, True, True),
+        (MAJ3.values, True, False),
+        (_permuted_ofo_eq_table(), False, True),
+    ],
+    ids=["constant", "majority", "permuted-ofo"],
+)
+def test_search_rejects_a_planted_inconsistency(monkeypatch, target, two_set, equiv_ofo):
+    # the target is a restricted-growth representative, so the main loop sees
+    # it; flagging it as failing at the pair {0, 2} contradicts what it is
+    ctx = TableClassifier(2, 2, 3)
+    assert bool(ctx.invariant_perm_ids(target, ctx.pair_perm_entries[1])) == two_set
+    assert ctx.equiv_ofo_determined(target) == equiv_ofo
+    first_failing_pair = TableClassifier.first_failing_pair
+
+    def planted(self, vals):
+        return 1 if vals == target else first_failing_pair(self, vals)
+
+    monkeypatch.setattr(TableClassifier, "first_failing_pair", planted)
+    with pytest.raises(RuntimeError, match="classification inconsistency"):
+        search(2, 2, 3, threads=1)
+
+
 def test_classifier_guards_its_remap_size(monkeypatch):
     # 4! * 2**4 = 384 permutation remap entries
     monkeypatch.setattr(analysis, "REMAP_GUARD", 100)
@@ -182,24 +266,41 @@ def test_search_builds_the_classifier_once_before_the_pool(monkeypatch):
 
 
 def test_search_spot_checks_100_permuted_tables(monkeypatch):
-    calls = []
+    main_loop, full = [], []
+    search_category = TableClassifier.search_category
     classify_values = TableClassifier.classify_values
 
-    def counting(self, values):
-        calls.append(values)
+    def counting_main_loop(self, values):
+        main_loop.append(values)
+        return search_category(self, values)
+
+    def counting_full(self, values):
+        full.append(values)
         return classify_values(self, values)
 
-    monkeypatch.setattr(TableClassifier, "classify_values", counting)
+    monkeypatch.setattr(TableClassifier, "search_category", counting_main_loop)
+    monkeypatch.setattr(TableClassifier, "classify_values", counting_full)
     search(2, 2, 3, threads=1)
-    # one call per restricted-growth vector (a 0 followed by any 7 binary
-    # values) and one per spot check
-    assert len(calls) == 2**7 + 100
+    # one main-loop call per restricted-growth vector (a 0 followed by any 7
+    # binary values); a full classification for each of the 20 of them with
+    # a unique identification minor and for each spot-checked copy
+    assert len(main_loop) == 2**7
+    assert len(full) == 20 + 100
+
+
+class _FullClassifier(TableClassifier):
+    """Answers the search's main loop from :meth:`classify_values`, so a
+    fault planted there reaches the main loop and the spot check alike."""
+
+    def search_category(self, values):
+        c = self.classify_values(values)
+        return c.category, c.has_uim
 
 
 def test_search_rejects_a_classification_that_is_not_permutation_invariant(
     monkeypatch,
 ):
-    class PositionalClassifier(TableClassifier):
+    class PositionalClassifier(_FullClassifier):
         # depends on the value at input (0, 0, 1), which permutations move
         def classify_values(self, values):
             uim = bool(values[1])
@@ -218,7 +319,7 @@ def test_search_rejects_a_classification_that_is_not_permutation_invariant(
 
 
 def test_search_rejects_a_classification_that_depends_on_output_names(monkeypatch):
-    class ValueZeroClassifier(TableClassifier):
+    class ValueZeroClassifier(_FullClassifier):
         # reads the value at input (0, 0, 0), which argument permutations fix
         # and output renamings change; a representative always has 0 there
         def classify_values(self, values):
@@ -265,7 +366,7 @@ def test_search_counts_match_classifying_every_table(shape):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_search_expands_other_representatives_to_every_renaming(monkeypatch, threads):
-    class OtherHeavyClassifier(TableClassifier):
+    class OtherHeavyClassifier(_FullClassifier):
         # every NOT-UIM table becomes OTHER: still invariant under argument
         # permutation and output renaming
         def classify_values(self, values):
@@ -296,9 +397,11 @@ def test_search_expands_other_representatives_to_every_renaming(monkeypatch, thr
          "aac14372d5b49118db67eabc2edc0e165a70e13cc9ee862434f2e32acbd9c6d5"),
         ((2, 2, 5), {"mode": "sampled", "seed": 3, "samples": 25},
          "5acdd7838fb4dbc7923264a2db52cd5736c997d0678bf93cd94400864afc35f5"),
+        ((2, 2, 6), {"mode": "sampled", "seed": 0, "samples": 150},
+         "bb4da78ebde7e16238e47ac826290c9aa8bea5468b44dd51240ec5ebe04f77ad"),
     ],
     ids=["k2b2n3-exhaustive", "k3b3n2-exhaustive", "k2b4n3-exhaustive",
-         "k2b3n3-exhaustive", "k2b2n5-sampled"],
+         "k2b3n3-exhaustive", "k2b2n5-sampled", "k2b2n6-sampled"],
 )
 def test_search_fingerprints_are_pinned(args, kwargs, fingerprint):
     assert search(*args, **kwargs).fingerprint() == fingerprint

@@ -214,6 +214,21 @@ def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
     assert "cannot use --k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "prop-ofominor", "--k", "4"],
+        ["--suite", "lemma-hatsigma", "--n", "10"],
+        ["--suite", "lemma-ofodeltaI", "--k", "10", "--n", "10"],
+        ["--suite", "ofo-identities", "--k", "5", "--triple-total", "10"],
+    ],
+    ids=["prop-ofominor", "lemma-hatsigma", "lemma-ofodeltaI", "ofo-identities"],
+)
+def test_verify_rejects_work_beyond_the_suite_guard(argv, capsys):
+    assert cli.main(["verify", *argv]) == 2
+    assert "suite guard" in capsys.readouterr().err
+
+
 def test_search_human_output(capsys):
     assert cli.main(["search", "--k", "2", "--b", "2", "--n", "3",
                      "--exhaustive"]) == 0
@@ -273,6 +288,19 @@ def test_search_requires_a_mode():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--k", "2", "--b", "2", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_search_threads_flag(capsys):
+    fingerprints = []
+    for threads in ("1", "2"):
+        assert cli.main(["search", "--k", "2", "--b", "3", "--n", "3",
+                         "--exhaustive", "--json", "--threads", threads]) == 0
+        fingerprints.append(json.loads(capsys.readouterr().out)["fingerprint"])
+    assert fingerprints == [
+        "aac14372d5b49118db67eabc2edc0e165a70e13cc9ee862434f2e32acbd9c6d5"
+    ] * 2
+    assert cli.main(["search", "--k", "2", "--b", "3", "--n", "3",
+                     "--exhaustive", "--threads", "0"]) == 2
 
 
 def test_threads_env_is_respected(monkeypatch):

@@ -129,6 +129,12 @@ class TableClassifier:
     constant on every ofo fiber mapped back through the permutation, and
     those mapped fiber systems are built once here too.
 
+    The n! permutations are split by the pair p onto which each sends
+    {0, 1}, 2 * (n-2)! to a pair.  A table is 2-set-transitive exactly when,
+    for every pair p, some permutation of p's list leaves it unchanged; the
+    lists partition the permutations, so one pass over all of them also
+    gives the invariance group's order.
+
     :meth:`classify_values` answers every question about one table.
     :meth:`search_category` answers only the search's, and settles a table
     without a unique identification minor at the first pair whose minor
@@ -153,12 +159,11 @@ class TableClassifier:
 
         self.perms = list(permutations(range(n)))
         self.perm_remaps = [pullback_remap(k, sig, n) for sig in self.perms]
-        self.perm_entries = list(enumerate(self.perm_remaps))
         self.pairs = list(IndexPair.all_pairs(n))
         # The 2 * (n-2)! permutations sending the pair {0, 1} onto each pair.
         pair_index = {frozenset((pair.lo, pair.hi)): p for p, pair in enumerate(self.pairs)}
         self.pair_perm_entries = [[] for _ in self.pairs]
-        for s, remap in self.perm_entries:
+        for s, remap in enumerate(self.perm_remaps):
             self.pair_perm_entries[pair_index[frozenset(self.perms[s][:2])]].append((s, remap))
         self.minors = [
             _tuple_getter(pullback_remap(k, collapse_map(pair, n).images, n - 1))
@@ -198,11 +203,11 @@ class TableClassifier:
     def has_uim(self, vals) -> bool:
         return self.first_failing_pair(vals) is None
 
-    def invariant_perm_ids(self, vals, candidates=None):
+    def invariant_perm_ids(self, vals, candidates):
         """Ids of the permutations leaving ``vals`` unchanged, among the
-        ``(id, remap)`` candidates (by default all n! permutations)."""
+        ``(id, remap)`` candidates, such as one of ``pair_perm_entries``."""
         out = []
-        for s, remap in self.perm_entries if candidates is None else candidates:
+        for s, remap in candidates:
             for i, j in enumerate(remap):
                 if vals[i] != vals[j]:
                     break
@@ -210,10 +215,21 @@ class TableClassifier:
                 out.append(s)
         return out
 
-    def two_set_transitive(self, inv_ids) -> bool:
-        """Is the orbit of the pair {0, 1} under these permutations all pairs?"""
-        orbit = {frozenset(self.perms[s][:2]) for s in inv_ids}
-        return len(orbit) == len(self.pairs)
+    def two_set_transitive(self, vals) -> bool:
+        """Does some permutation leaving ``vals`` unchanged send {0, 1} onto
+        each pair?  Pair 0 is skipped, since the identity qualifies there,
+        and the test stops at the first pair without one."""
+        return all(
+            self.invariant_perm_ids(vals, entries) for entries in self.pair_perm_entries[1:]
+        )
+
+    def invariance_summary(self, vals):
+        """``(invariance group order, 2-set-transitive)`` from one pass over
+        the per-pair candidate lists: the order is the sum of the pairs'
+        invariant counts, and the table is 2ST when none is zero."""
+        counts = [len(self.invariant_perm_ids(vals, entries))
+                  for entries in self.pair_perm_entries]
+        return sum(counts), all(counts)
 
     def ofo_determined(self, vals) -> bool:
         return self._constant_on(vals, self.ofo_fibers)
@@ -236,18 +252,17 @@ class TableClassifier:
     def classify_values(self, values) -> Classification:
         vals = tuple(values)
         uim = self.has_uim(vals)
-        inv_ids = self.invariant_perm_ids(vals)
-        two_set = self.two_set_transitive(inv_ids)
+        order, two_set = self.invariance_summary(vals)
         equiv_ofo = self.equiv_ofo_determined(vals)
         return Classification(
             has_uim=uim,
-            totally_symmetric=len(inv_ids) == len(self.perms),
+            totally_symmetric=order == len(self.perms),
             two_set_transitive=two_set,
             two_set_transitive_degenerate=self.arity == 2,
             ofo_determined=self.ofo_determined(vals),
             equiv_ofo_determined=equiv_ofo,
             supp_determined=self.supp_determined(vals),
-            inv_group_order=len(inv_ids),
+            inv_group_order=order,
             category=_categorize(uim, two_set, equiv_ofo),
         )
 
@@ -445,7 +460,13 @@ def _search_chunk(args):
 
 def _thread_count(threads) -> int:
     if threads is None:
-        threads = int(os.environ.get("UIMLAB_THREADS", "1"))
+        raw = os.environ.get("UIMLAB_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"UIMLAB_THREADS needs a positive worker count, got {raw!r}")
     return max(1, min(int(threads), os.cpu_count() or 1))
 
 
@@ -573,12 +594,14 @@ def _guard_suite(name, checks):
 
 def _whole_space(k, b, n):
     """Every table of shape ``(k, b, n)`` as ``(index, values)``, in index
-    order; a space above ``EXHAUSTIVE_GUARD`` is rejected before the first."""
+    order; a space above ``EXHAUSTIVE_GUARD`` is rejected before the first.
+    ``product`` varies the last entry fastest, as :func:`decode` does."""
     total = b ** (k**n)
     if total > EXHAUSTIVE_GUARD:
-        raise ValueError("space exceeds the exhaustive guard")
-    size = k**n
-    return ((index, decode(index, size, b)) for index in range(total))
+        raise ValueError(
+            f"space of {total} tables exceeds the exhaustive guard {EXHAUSTIVE_GUARD}"
+        )
+    return enumerate(product(range(b), repeat=k**n))
 
 
 def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
@@ -703,26 +726,25 @@ def _suite_support_equivalences(k=2, b=2, n=4):
     ctx = _classifier(k, b, n)
     ts_ofo = []
     tst_ofo = []
-    supp_det = []
+    supp_det = {}
     checked = 0
     for index, vals in tables:
         checked += 1
-        det = ctx.ofo_determined(vals)
-        if det:
-            inv_ids = ctx.invariant_perm_ids(vals)
-            if len(inv_ids) == len(ctx.perms):
+        if ctx.ofo_determined(vals):
+            order, two_set = ctx.invariance_summary(vals)
+            if order == len(ctx.perms):
                 ts_ofo.append(index)
-            if ctx.two_set_transitive(inv_ids):
+            if two_set:
                 tst_ofo.append(index)
         if ctx.supp_determined(vals):
-            supp_det.append(index)
-    if not (ts_ofo == tst_ofo == supp_det):
+            supp_det[index] = vals
+    if not (ts_ofo == tst_ofo == list(supp_det)):
         return checked, (
             f"class sizes differ: ts&ofo={len(ts_ofo)}, 2st&ofo={len(tst_ofo)}, "
             f"supp={len(supp_det)}"
         )
-    for index in supp_det:
-        f = FunctionTable(k, b, n, decode(index, ctx.size, b))
+    for index, vals in supp_det.items():
+        f = FunctionTable(k, b, n, vals)
         for pair_i in IndexPair.all_pairs(n):
             for pair_j in IndexPair.all_pairs(n):
                 checked += 1
@@ -800,7 +822,7 @@ def _suite_two_set_transitive_uim(k=2, b=2, arities=(3, 4)):
         tables = _whole_space(k, b, n)
         ctx = _classifier(k, b, n)
         for index, vals in tables:
-            if ctx.two_set_transitive(ctx.invariant_perm_ids(vals)):
+            if ctx.two_set_transitive(vals):
                 checked += 1
                 if not ctx.has_uim(vals):
                     return checked, f"n={n}, table {index}"

@@ -14,7 +14,8 @@ Conventions: files, ``--json`` output, and symbol-valued flags (``--alpha``,
 ``--beta``) use 0-based symbols; human-readable output renders tuples,
 permutations, and pairs 1-based.  ``search --threads N`` sets how many worker
 processes a search may use, at most one per CPU; without it
-``UIMLAB_THREADS`` does (default 1).  Reports are identical for every count.
+``UIMLAB_THREADS`` does (default 1); a count below 1 from either is a usage
+error.  Reports are identical for every count.
 """
 
 import argparse

@@ -35,7 +35,7 @@ from uimlab.symmetry import (
     is_2_set_transitive_fn,
     is_totally_symmetric,
 )
-from uimlab.tuples import Permutation, apply_index_map, decode
+from uimlab.tuples import Permutation, apply_index_map, decode, encode
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 AND3 = FunctionTable(2, 2, 3, (0, 0, 0, 0, 0, 0, 1, 1))
@@ -209,6 +209,90 @@ def test_pair_candidates_partition_the_permutations(n):
             assert remap is ctx.perm_remaps[s]
 
 
+def _design_table():
+    """The (2,2,6) table that is 1 exactly where the positions holding 1 form
+    a block of the 2-(6,3,2) design: the orbit of {0, 1, 5} under the
+    projective special linear group PSL(2,5) acting on the projective line
+    0..4, 5 = infinity.  That group sends any pair onto any other, yet
+    leaves only 60 of the 720 permutations invariant."""
+    translate = (1, 2, 3, 4, 0, 5)  # x -> x + 1
+    invert = (5, 4, 2, 3, 1, 0)  # x -> -1/x
+    blocks = {frozenset({0, 1, 5})}
+    frontier = list(blocks)
+    while frontier:
+        block = frontier.pop()
+        for g in (translate, invert):
+            image = frozenset(g[x] for x in block)
+            if image not in blocks:
+                blocks.add(image)
+                frontier.append(image)
+    assert len(blocks) == 10
+    return tuple(
+        int(frozenset(i for i, x in enumerate(t) if x) in blocks)
+        for t in product(range(2), repeat=6)
+    )
+
+
+def _two_set_tables(k, b, n):
+    """Every table of a space of at most 2**13; beyond, seeded random tables,
+    fewer as the brute force's n! permutations grow, seeded supp-determined
+    ones (2ST, being totally symmetric) at arity 5 or less, and at (2,2,6)
+    :func:`_design_table`.  A totally symmetric table at arity 6 costs the
+    brute force's group axiom check 720**2 products, about 2.4 s.  The whole
+    (2,2,4) space would take it about 22 s."""
+    if b ** (k**n) <= 1 << 13:
+        return [decode(index, k**n, b) for index in range(b ** (k**n))]
+    rng = random.Random(29)
+    count = 6000 // math.factorial(n)
+    tables = [tuple(rng.randrange(b) for _ in range(k**n)) for _ in range(count)]
+    if n == 6:
+        return tables + [_design_table()]
+    subsets = 2**k - 1
+    return tables + [
+        compose_supp(
+            SuppTable.from_values(k, b, k, [rng.randrange(b) for _ in range(subsets)]), n
+        ).values
+        for _ in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (2, 3, 3), (3, 2, 2), (2, 2, 4), (3, 2, 3), (2, 2, 5), (2, 2, 6)],
+    ids=["k2b2n3", "k2b3n3", "k3b2n2", "k2b2n4", "k3b2n3", "k2b2n5", "k2b2n6"],
+)
+def test_two_set_transitive_agrees_with_the_brute_force(shape):
+    # the brute force is symmetry.is_2_set_transitive_fn, spelled out so that
+    # the group it builds also checks the invariance group order
+    ctx = TableClassifier(*shape)
+    seen = set()
+    for vals in _two_set_tables(*shape):
+        group = invariance_group(FunctionTable(*shape, vals))
+        two_set = is_2_set_transitive(group)
+        assert ctx.two_set_transitive(vals) == two_set
+        assert ctx.invariance_summary(vals) == (group.order, two_set)
+        seen.add(two_set)
+    assert seen == ({True} if shape[2] == 2 else {True, False})
+
+
+def test_design_table_is_2st_without_being_totally_symmetric():
+    ctx = TableClassifier(2, 2, 6)
+    assert ctx.invariance_summary(_design_table()) == (60, True)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 2)], ids=["k2b2n3", "k2b3n2"])
+def test_whole_space_yields_every_table_in_index_order(shape):
+    k, b, n = shape
+    assert list(analysis._whole_space(k, b, n)) == [
+        (index, decode(index, k**n, b)) for index in range(b ** (k**n))
+    ]
+
+
+def test_whole_space_guard_names_the_space_and_the_guard():
+    with pytest.raises(ValueError, match=f"{2**32} tables .* guard {2**24}"):
+        analysis._whole_space(2, 2, 5)
+
+
 def _permuted_ofo_eq_table():
     """An OFO-EQ table at (2,2,3) that is not ofo-determined itself and that
     no permutation sending {0, 1} onto {0, 2} leaves unchanged."""
@@ -240,6 +324,22 @@ def test_search_rejects_a_planted_inconsistency(monkeypatch, target, two_set, eq
     monkeypatch.setattr(TableClassifier, "first_failing_pair", planted)
     with pytest.raises(RuntimeError, match="classification inconsistency"):
         search(2, 2, 3, threads=1)
+
+
+def test_uim_2st_suite_rejects_a_planted_fault(monkeypatch):
+    # a supp-determined (2,2,4) table, 1 exactly off the diagonal, is 2ST;
+    # flagging it as failing at the pair {0, 2} must fail the suite there
+    target = compose_supp(SuppTable.from_values(2, 2, 2, (0, 0, 1)), 4).values
+    assert TableClassifier(2, 2, 4).two_set_transitive(target)
+    first_failing_pair = TableClassifier.first_failing_pair
+
+    def planted(self, vals):
+        return 1 if vals == target else first_failing_pair(self, vals)
+
+    monkeypatch.setattr(TableClassifier, "first_failing_pair", planted)
+    report = verify_suite("uim-2st")
+    assert not report.passed
+    assert report.counterexample == f"n=4, table {encode(target, 2)}"
 
 
 def test_classifier_guards_its_remap_size(monkeypatch):

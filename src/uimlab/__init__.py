@@ -55,7 +55,6 @@ from .symmetry import (
     is_totally_symmetric,
 )
 from .tuples import (
-    Alphabet,
     IndexMap,
     IndexPair,
     Permutation,

@@ -146,6 +146,7 @@ class TableClassifier:
         if arity < 2:
             raise ValueError("classification needs arity >= 2")
         k, b, n = domain_size, codomain_size, arity
+        ftable._check_dims(k, b, n)
         self.domain_size, self.codomain_size, self.arity = k, b, n
         self.size = k**n
         if self.size > TABLE_SIZE_GUARD:
@@ -382,6 +383,8 @@ def sample_index(seed: int, j: int, total: int) -> int:
     ``"{seed}:{j}"`` draws fixed-width integers and the first one below
     ``total`` is taken (rejection keeps the draw uniform).  Each sample is
     independently computable, so parallel order cannot change results."""
+    if total < 1:
+        raise ValueError(f"cannot sample from an empty space of {total} tables")
     nbits = max(1, (total - 1).bit_length())
     rng = random.Random(f"{seed}:{j}")
     while True:
@@ -467,7 +470,9 @@ def _thread_count(threads) -> int:
             threads = 0
         if threads < 1:
             raise ValueError(f"UIMLAB_THREADS needs a positive worker count, got {raw!r}")
-    return max(1, min(int(threads), os.cpu_count() or 1))
+    elif threads < 1:
+        raise ValueError(f"threads needs a positive worker count, got {threads}")
+    return min(int(threads), os.cpu_count() or 1)
 
 
 def search(domain_size: int, codomain_size: int, arity: int,
@@ -884,7 +889,8 @@ def verify_suite(name: str, **params) -> SuiteReport:
     """Run one verification suite; ``passed`` means zero counterexamples.
 
     ``params`` override the suite's defaults (see :func:`suite_parameters`)
-    and are reported as given; a name the suite does not take is rejected.
+    and are reported as given; a name the suite does not take is rejected,
+    and so is a run that makes no check.
     """
     accepted = suite_parameters(name)
     unknown = sorted(set(params) - set(accepted))
@@ -895,6 +901,8 @@ def verify_suite(name: str, **params) -> SuiteReport:
         )
     started = time.perf_counter()
     checked, counterexample = _SUITES[name](**params)
+    if checked == 0:
+        raise ValueError(f"suite {name!r} made no checks with these parameters")
     return SuiteReport(
         suite=name,
         params=params,

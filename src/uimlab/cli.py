@@ -195,8 +195,6 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     mode = "exhaustive" if args.exhaustive else "sampled"
-    if args.threads is not None and args.threads < 1:
-        raise ValueError("--threads needs a positive worker count")
     report = analysis.search(
         args.k, args.b, args.n, mode=mode, seed=args.seed, samples=args.samples,
         threads=args.threads,

@@ -30,8 +30,6 @@ __all__ = [
     "compose_supp",
     "equiv_to_ofo_determined",
     "ofo_decompose",
-    "ofo_table_from_json_obj",
-    "ofo_table_to_json_obj",
     "supp_decompose",
     "supp_table_from_json_obj",
     "supp_table_to_json_obj",
@@ -246,36 +244,6 @@ def anchored_minor_equivalence(f, pair_i: IndexPair, pair_j: IndexPair):
 
 # ---------------------------------------------------------------------------
 # JSON forms (keys are comma-joined 0-based symbols, matching the table files)
-
-def ofo_table_to_json_obj(t: OfoTable) -> dict:
-    return {
-        "kind": "ofo_table",
-        "domain_size": t.domain_size,
-        "codomain_size": t.codomain_size,
-        "max_len": t.max_len,
-        "entries": {",".join(map(str, key)): v for key, v in t.entries.items()},
-        "unconstrained": sorted(
-            ",".join(map(str, key)) for key in t.unconstrained
-        ),
-    }
-
-
-def ofo_table_from_json_obj(obj) -> OfoTable:
-    try:
-        entries = {
-            tuple(int(p) for p in key.split(",")): v
-            for key, v in obj["entries"].items()
-        }
-        free = frozenset(
-            tuple(int(p) for p in key.split(","))
-            for key in obj.get("unconstrained", [])
-        )
-        return OfoTable(
-            obj["domain_size"], obj["codomain_size"], obj["max_len"], entries, free
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise TableFormatError(f"bad ofo table object: {exc}") from exc
-
 
 def supp_table_to_json_obj(t: SuppTable) -> dict:
     return {

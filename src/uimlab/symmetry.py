@@ -121,34 +121,19 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
         tau ∘ collapse_map(preimage, n) == collapse_map(pair, n) ∘ sigma
 
     and sending the merged position of ``preimage`` (its minimum) to the
-    merged position of ``pair``.  Both identities are replayed before
-    returning.
+    merged position of ``pair``.  The ``lemma-hatsigma`` verification suite
+    checks both identities.
     """
     n = sigma.degree
     if n < 2:
         raise ValueError("need degree >= 2")
     if pair.hi >= n:
         raise ValueError(f"pair {pair.render()} out of range for degree {n}")
-    inv = sigma.inverse()
-    a, b = inv.images[pair.lo], inv.images[pair.hi]
+    a, b = sigma.images.index(pair.lo), sigma.images.index(pair.hi)
     pre = IndexPair(min(a, b), max(a, b))
-    d_pre = collapse_map(pre, n)
-    d_pair = collapse_map(pair, n)
+    d_pre = collapse_map(pre, n).images
+    d_pair = collapse_map(pair, n).images
     images = [None] * (n - 1)
     for i in range(n):
-        j = d_pre.images[i]
-        v = d_pair.images[sigma.images[i]]
-        if images[j] is not None and images[j] != v:
-            raise RuntimeError(
-                f"collapse images clash for sigma={sigma.one_line()}, pair={pair.render()}"
-            )
-        images[j] = v
-    tau = Permutation(tuple(images))
-    lhs = tau.as_index_map().after(d_pre)
-    rhs = d_pair.after(sigma.as_index_map())
-    if lhs.images != rhs.images or tau.images[pre.lo] != pair.lo:
-        raise RuntimeError(
-            f"collapse permutation failed verification for sigma={sigma.one_line()}, "
-            f"pair={pair.render()}"
-        )
-    return tau, pre
+        images[d_pre[i]] = d_pair[sigma.images[i]]
+    return Permutation(tuple(images)), pre

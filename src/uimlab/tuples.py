@@ -12,7 +12,6 @@ from itertools import permutations as _perms
 from itertools import product as _product
 
 __all__ = [
-    "Alphabet",
     "IndexMap",
     "IndexPair",
     "Permutation",
@@ -31,24 +30,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A finite alphabet of ``size`` symbols, represented as ``range(size)``."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.size}")
-
-    @property
-    def symbols(self) -> range:
-        return range(self.size)
-
-
 def _size(alphabet) -> int:
-    # Alphabet or a bare integer size, interchangeably.
-    k = alphabet.size if isinstance(alphabet, Alphabet) else int(alphabet)
+    k = int(alphabet)
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     return k

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from uimlab import analysis
+from uimlab import analysis, symmetry
 from uimlab.analysis import (
     Classification,
     RestrictionSummary,
@@ -35,7 +35,7 @@ from uimlab.symmetry import (
     is_2_set_transitive_fn,
     is_totally_symmetric,
 )
-from uimlab.tuples import Permutation, apply_index_map, decode, encode
+from uimlab.tuples import IndexPair, Permutation, apply_index_map, decode, encode
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 AND3 = FunctionTable(2, 2, 3, (0, 0, 0, 0, 0, 0, 1, 1))
@@ -342,6 +342,24 @@ def test_uim_2st_suite_rejects_a_planted_fault(monkeypatch):
     assert report.counterexample == f"n=4, table {encode(target, 2)}"
 
 
+def test_lemma_hatsigma_suite_rejects_a_wrong_collapse_permutation(monkeypatch):
+    # a valid but wrong tau for sigma = [2,1,3] and the pair {1,3}
+    # must fail the suite there, not escape it
+    collapse_permutation = symmetry.collapse_permutation
+    target = (Permutation((1, 0, 2)), IndexPair(0, 2))
+
+    def planted(sigma, pair):
+        tau, pre = collapse_permutation(sigma, pair)
+        if (sigma, pair) == target:
+            tau = Permutation(tau.images[::-1])
+        return tau, pre
+
+    monkeypatch.setattr(symmetry, "collapse_permutation", planted)
+    report = verify_suite("lemma-hatsigma", n=4)
+    assert not report.passed
+    assert report.counterexample == "n=3, sigma=[2,1,3], pair={1,3}"
+
+
 def test_classifier_guards_its_remap_size(monkeypatch):
     # 4! * 2**4 = 384 permutation remap entries
     monkeypatch.setattr(analysis, "REMAP_GUARD", 100)
@@ -560,6 +578,12 @@ def test_search_guards():
         search(2, 2, 1, mode="exhaustive")
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_search_rejects_a_bad_worker_count(threads):
+    with pytest.raises(ValueError, match=f"positive worker count, got {threads}"):
+        search(2, 2, 3, threads=threads)
+
+
 def test_search_witnesses_sorted_unique():
     report = search(2, 2, 3, mode="exhaustive")
     indices = [w["table_index"] for w in report.other_witnesses]
@@ -571,6 +595,11 @@ def test_sample_index_is_counter_based():
     assert first == [sample_index(7, j, 512) for j in range(5)]
     assert all(0 <= v < 512 for v in first)
     assert sample_index(7, 0, 1) == 0
+
+
+def test_sample_index_rejects_an_empty_space():
+    with pytest.raises(ValueError, match="empty space"):
+        sample_index(0, 0, 0)
 
 
 def test_report_json_shape():

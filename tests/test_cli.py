@@ -229,6 +229,26 @@ def test_verify_rejects_work_beyond_the_suite_guard(argv, capsys):
     assert "suite guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "lemma-hatsigma", "--n", "1"],
+        ["--suite", "lemma-ofodeltaI", "--k", "0"],
+        ["--suite", "prop-ofominor", "--b", "0"],
+        ["--suite", "uim-2st", "--b", "0"],
+        ["--suite", "prop-suppord", "--b", "0"],
+        ["--suite", "renaming-invariance", "--b", "0"],
+    ],
+    ids=["lemma-hatsigma", "lemma-ofodeltaI", "prop-ofominor", "uim-2st",
+         "prop-suppord", "renaming-invariance"],
+)
+def test_verify_rejects_a_run_that_checks_nothing(argv, capsys):
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error: ")
+
+
 def test_search_human_output(capsys):
     assert cli.main(["search", "--k", "2", "--b", "2", "--n", "3",
                      "--exhaustive"]) == 0
@@ -301,6 +321,13 @@ def test_search_threads_flag(capsys):
     ] * 2
     assert cli.main(["search", "--k", "2", "--b", "3", "--n", "3",
                      "--exhaustive", "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize("mode", [["--samples", "3"], ["--exhaustive"]],
+                         ids=["sampled", "exhaustive"])
+def test_search_rejects_an_empty_codomain(mode, capsys):
+    assert cli.main(["search", "--k", "2", "--b", "0", "--n", "3", *mode]) == 2
+    assert "codomain size must be >= 1" in capsys.readouterr().err
 
 
 def test_threads_env_is_respected(monkeypatch):

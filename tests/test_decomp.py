@@ -12,8 +12,6 @@ from uimlab.decomp import (
     compose_supp,
     equiv_to_ofo_determined,
     ofo_decompose,
-    ofo_table_from_json_obj,
-    ofo_table_to_json_obj,
     supp_decompose,
     supp_table_from_json_obj,
     supp_table_to_json_obj,
@@ -195,11 +193,6 @@ def test_anchored_equivalence_probe_can_fail():
     proj = FunctionTable.from_callable(2, 2, 3, lambda t: t[0])
     # collapsing {1,2} keeps the projection; collapsing {2,3} does not align
     assert anchored_minor_equivalence(proj, IndexPair(0, 1), IndexPair(1, 2)) is None
-
-
-def test_ofo_table_json_round_trip():
-    table = first_letter_table(3, 2, 3)
-    assert ofo_table_from_json_obj(ofo_table_to_json_obj(table)) == table
 
 
 def test_supp_table_json_round_trip():

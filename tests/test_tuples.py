@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from uimlab.tuples import (
-    Alphabet,
     IndexMap,
     IndexPair,
     Permutation,
@@ -22,17 +21,10 @@ from uimlab.tuples import (
 )
 
 
-def test_alphabet_validation():
-    assert Alphabet(3).symbols == range(3)
-    with pytest.raises(ValueError):
-        Alphabet(0)
-
-
 def test_encode_examples():
     assert encode((0, 0, 0), 2) == 0
     assert encode((1, 0), 2) == 2
     assert encode((), 7) == 0
-    assert encode((0, 0, 1), Alphabet(2)) == 1
 
 
 def test_decode_examples():

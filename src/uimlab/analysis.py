@@ -21,6 +21,7 @@ import inspect
 import math
 import os
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
@@ -422,6 +423,25 @@ def _renamings(values, b):
     )
 
 
+def _space_size(k, b, n, mode="exhaustive") -> int:
+    """``b**(k**n)``, the number of tables of shape ``(k, b, n)``: at most
+    ``EXHAUSTIVE_GUARD`` for an exhaustive run, and for a sampled one, whose
+    report prints it, at most as many digits as the interpreter prints.  It
+    is compared with an exponent capped at the bound's bit length first, so
+    a refused size is never formed."""
+    ftable._check_dims(k, b, n)
+    exponent = k**n
+    if mode == "exhaustive":
+        bound, name = EXHAUSTIVE_GUARD, f"the exhaustive guard {EXHAUSTIVE_GUARD}"
+    elif digits := sys.get_int_max_str_digits():
+        bound, name = 10**digits - 1, f"the {digits}-digit limit for printing an integer"
+    else:  # the interpreter prints integers of any length
+        return b**exponent
+    if b ** min(exponent, bound.bit_length()) > bound:
+        raise ValueError(f"space of {b}**{exponent} tables exceeds {name}")
+    return b**exponent
+
+
 def _search_chunk(args):
     """Classify one part of a search and run both self-checks on it:
     :meth:`TableClassifier.search_category` checks that a table without a
@@ -487,32 +507,21 @@ def search(domain_size: int, codomain_size: int, arity: int,
     r values counts for its b!/(b-r)! renamings, and an OTHER representative
     adds each renaming to the witnesses under its own ``table_index``;
     ``classified`` counts the tables covered.  Sampled mode draws
-    ``samples`` indices via :func:`sample_index` and classifies each.  Work
+    ``samples`` indices via :func:`sample_index` and classifies each, in a
+    space whose size the report can print (see :func:`_space_size`).  Work
     may be split across processes; witnesses are sorted by table index, so
     reports are identical for any thread count.
     """
     k, b, n = domain_size, codomain_size, arity
-    if n < 2:
-        raise ValueError("search needs arity >= 2")
-    if k**n > TABLE_SIZE_GUARD:
-        raise ValueError(f"table size {k ** n} exceeds guard {TABLE_SIZE_GUARD}")
-    total = b ** (k**n)
-    if mode == "exhaustive":
-        if total > EXHAUSTIVE_GUARD:
-            raise ValueError(
-                f"space of {total} tables exceeds the exhaustive guard "
-                f"{EXHAUSTIVE_GUARD}; use sampled mode"
-            )
-        slots = total
-    elif mode == "sampled":
+    if mode == "sampled":
         if samples is None or samples < 1:
             raise ValueError("sampled mode needs a positive sample count")
         if seed is None:
             seed = 0
-        slots = samples
-    else:
+    elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-
+    total = _space_size(k, b, n, mode)
+    slots = total if mode == "exhaustive" else samples
     threads = _thread_count(threads)
     started = time.perf_counter()
     # Built before the pool forks, so every worker inherits it.
@@ -601,17 +610,15 @@ def _whole_space(k, b, n):
     """Every table of shape ``(k, b, n)`` as ``(index, values)``, in index
     order; a space above ``EXHAUSTIVE_GUARD`` is rejected before the first.
     ``product`` varies the last entry fastest, as :func:`decode` does."""
-    total = b ** (k**n)
-    if total > EXHAUSTIVE_GUARD:
-        raise ValueError(
-            f"space of {total} tables exceeds the exhaustive guard {EXHAUSTIVE_GUARD}"
-        )
+    _space_size(k, b, n)
     return enumerate(product(range(b), repeat=k**n))
 
 
 def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     """ofo is idempotent, an associative string function, and a homomorphism
     onto first-occurrence products: checked over all short strings."""
+    if k < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {k}")
     _guard_suite(
         "ofo-identities",
         (k ** triple_total) * (triple_total + 1) * (triple_total + 2) // 2,
@@ -707,13 +714,15 @@ def _suite_collapse_permutation(n=6):
     ))
     checked = 0
     for arity in range(2, n + 1):
+        collapse = {pair: collapse_map(pair, arity).images
+                    for pair in IndexPair.all_pairs(arity)}
         for sigma in Permutation.all_perms(arity):
-            for pair in IndexPair.all_pairs(arity):
+            for pair, d_pair in collapse.items():
                 checked += 1
                 tau, pre = symmetry.collapse_permutation(sigma, pair)
-                lhs = tau.as_index_map().after(collapse_map(pre, arity))
-                rhs = collapse_map(pair, arity).after(sigma.as_index_map())
-                if lhs.images != rhs.images or tau.images[pre.lo] != pair.lo:
+                lhs = tuple(tau.images[v] for v in collapse[pre])
+                rhs = tuple(d_pair[v] for v in sigma.images)
+                if lhs != rhs or tau.images[pre.lo] != pair.lo:
                     return checked, (
                         f"n={arity}, sigma={sigma.one_line()}, pair={pair.render()}"
                     )

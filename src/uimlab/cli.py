@@ -15,7 +15,8 @@ Conventions: files, ``--json`` output, and symbol-valued flags (``--alpha``,
 permutations, and pairs 1-based.  ``search --threads N`` sets how many worker
 processes a search may use, at most one per CPU; without it
 ``UIMLAB_THREADS`` does (default 1); a count below 1 from either is a usage
-error.  Reports are identical for every count.
+error.  Reports are identical for every count.  A table space beyond
+``search``'s guards, or a whole-space suite's, is a usage error too.
 """
 
 import argparse
@@ -121,13 +122,7 @@ def cmd_construct(args) -> int:
                 args.k, args.m, args.alpha, args.beta
             )
     else:  # gpphi
-        spec = construct.load_spec(args.spec)
-        problems = construct.validate(spec)
-        if problems:
-            for p in problems:
-                print(f"invalid gluing spec: {p}", file=sys.stderr)
-            return USAGE_ERROR
-        table = construct.build(spec)
+        table = construct.build(construct.load_spec(args.spec))
     ftable.save_table(table, args.output)
     kind = "partial table" if isinstance(table, ftable.PartialFunctionTable) \
         else "table"
@@ -306,10 +301,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TableFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # TableFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

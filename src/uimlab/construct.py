@@ -16,7 +16,6 @@ pair's lower position.  The result takes ``alpha`` exactly on one marked
 tuple per pair, yet has a unique identification minor.
 """
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .ftable import (
     FunctionTable,
     PartialFunctionTable,
     TableFormatError,
+    _read_json,
     canonical_dumps,
 )
 from .tuples import (
@@ -306,11 +306,4 @@ def save_spec(spec: GluingSpec, path) -> None:
 
 
 def load_spec(path) -> GluingSpec:
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TableFormatError(
-            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return spec_from_json_obj(obj)
+    return spec_from_json_obj(_read_json(path))

@@ -289,12 +289,15 @@ def save_table(table, path) -> None:
     Path(path).write_text(canonical_dumps(table_to_json_obj(table)))
 
 
-def load_table(path):
-    text = Path(path).read_text()
+def _read_json(path):
+    """The JSON object in file ``path``; a decode error is a ``TableFormatError``."""
     try:
-        obj = json.loads(text)
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise TableFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return table_from_json_obj(obj, where=str(path))
+
+
+def load_table(path):
+    return table_from_json_obj(_read_json(path), where=str(path))

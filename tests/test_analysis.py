@@ -1,6 +1,8 @@
 import math
 import os
 import random
+import sys
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -289,8 +291,36 @@ def test_whole_space_yields_every_table_in_index_order(shape):
 
 
 def test_whole_space_guard_names_the_space_and_the_guard():
-    with pytest.raises(ValueError, match=f"{2**32} tables .* guard {2**24}"):
+    with pytest.raises(ValueError, match=rf"2\*\*32 tables .* guard {2**24}"):
         analysis._whole_space(2, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "call, space",
+    [
+        (lambda: verify_suite("prop-suppord", n=33), "2**8589934592"),
+        (lambda: analysis._whole_space(2, 2, 40), f"2**{2**40}"),
+        (lambda: search(2, 2, 14, mode="exhaustive"), "2**16384"),
+        (lambda: search(5, 2, 6, mode="sampled", samples=1), "2**15625"),
+        (lambda: search(1024, 2, 2, mode="sampled", samples=1), f"2**{2**20}"),
+    ],
+    ids=["prop-suppord-n33", "whole-space-n40", "exhaustive-n14",
+         "sampled-k5-n6", "sampled-k1024-n2"],
+)
+def test_an_out_of_reach_space_is_refused_at_once(call, space):
+    # The size is compared without being formed, and the message names the
+    # space as a power instead of printing its digits.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the") as err:
+        call()
+    assert time.perf_counter() - started < 1
+    assert f"space of {space} tables" in str(err.value)
+
+
+def test_sampled_space_size_is_unbounded_when_the_interpreter_prints_any_integer(
+        monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert analysis._space_size(5, 2, 6, "sampled") == 2**15625
 
 
 def _permuted_ofo_eq_table():

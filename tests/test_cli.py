@@ -238,9 +238,12 @@ def test_verify_rejects_work_beyond_the_suite_guard(argv, capsys):
         ["--suite", "uim-2st", "--b", "0"],
         ["--suite", "prop-suppord", "--b", "0"],
         ["--suite", "renaming-invariance", "--b", "0"],
+        ["--suite", "ofo-identities", "--k", "0"],
+        ["--suite", "ofo-identities", "--k", "-1"],
     ],
     ids=["lemma-hatsigma", "lemma-ofodeltaI", "prop-ofominor", "uim-2st",
-         "prop-suppord", "renaming-invariance"],
+         "prop-suppord", "renaming-invariance", "ofo-identities-k0",
+         "ofo-identities-k-1"],
 )
 def test_verify_rejects_a_run_that_checks_nothing(argv, capsys):
     assert cli.main(["verify", *argv]) == 2
@@ -349,9 +352,29 @@ def test_threads_env_rejects_a_bad_worker_count(monkeypatch, capsys, value):
 
 def test_verify_whole_space_guard_exit(capsys):
     assert cli.main(["verify", "--suite", "prop-suppord", "--n", "5"]) == 2
-    assert f"space of {2**32} tables exceeds the exhaustive guard {2**24}" in (
+    assert f"space of 2**32 tables exceeds the exhaustive guard {2**24}" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--suite", "uim-2st", "--n", "14"],
+         f"space of 2**16384 tables exceeds the exhaustive guard {2**24}"),
+        (["verify", "--suite", "renaming-invariance", "--n", "14"],
+         f"space of 3**16384 tables exceeds the exhaustive guard {2**24}"),
+        (["search", "--k", "2", "--b", "2", "--n", "14", "--exhaustive"],
+         f"space of 2**16384 tables exceeds the exhaustive guard {2**24}"),
+        (["search", "--k", "5", "--b", "2", "--n", "6", "--samples", "2"],
+         f"space of 2**15625 tables exceeds the "
+         f"{sys.get_int_max_str_digits()}-digit limit"),
+    ],
+    ids=["uim-2st", "renaming-invariance", "exhaustive", "sampled"],
+)
+def test_an_out_of_reach_space_exits_2_naming_it(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.skipif(shutil.which("uimlab") is None, reason="script not installed")

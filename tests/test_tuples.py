@@ -1,7 +1,10 @@
+import doctest
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uimlab import tuples
 from uimlab.tuples import (
     IndexMap,
     IndexPair,
@@ -259,3 +262,9 @@ def test_render_parse_tuple():
     assert parse_tuple("", 3) == ()
     with pytest.raises(ValueError):
         parse_tuple("(5)", 4)
+
+
+def test_tuples_doctests_pass():
+    # The examples in the module's docstrings, run as part of the test suite.
+    result = doctest.testmod(tuples)
+    assert (result.attempted, result.failed) == (5, 0)

@@ -13,6 +13,7 @@ from .analysis import (
     SuiteReport,
     classify,
     has_uim,
+    invariance_group,
     search,
     verify_suite,
 )
@@ -46,14 +47,7 @@ from .ftable import (
     restrict_to_repeats,
     save_table,
 )
-from .symmetry import (
-    PermutationGroup,
-    collapse_permutation,
-    invariance_group,
-    is_2_set_transitive,
-    is_2_set_transitive_fn,
-    is_totally_symmetric,
-)
+from .symmetry import PermutationGroup, collapse_permutation, is_2_set_transitive
 from .tuples import (
     IndexMap,
     IndexPair,

@@ -30,7 +30,7 @@ from multiprocessing import get_context
 from operator import itemgetter
 
 from . import construct, decomp, ftable, symmetry
-from .ftable import FunctionTable, canonical_dumps
+from .ftable import TABLE_SIZE_GUARD, FunctionTable, canonical_dumps
 from .tuples import (
     IndexPair,
     Permutation,
@@ -51,9 +51,11 @@ __all__ = [
     "RestrictionSummary",
     "SearchReport",
     "SuiteReport",
+    "TABLE_SIZE_GUARD",
     "TableClassifier",
     "classify",
     "has_uim",
+    "invariance_group",
     "sample_index",
     "search",
     "suite_names",
@@ -65,9 +67,6 @@ CATEGORIES = ("2ST", "OFO-EQ", "OTHER", "NOT-UIM")
 
 # Largest table space an exhaustive run will enumerate.
 EXHAUSTIVE_GUARD = 1 << 24
-
-# Largest single table (k**n entries) the harness will materialize.
-TABLE_SIZE_GUARD = 1 << 20
 
 # Largest permutation remap (n! * k**n entries) a classifier will build.
 REMAP_GUARD = 1 << 24
@@ -149,13 +148,13 @@ class TableClassifier:
         k, b, n = domain_size, codomain_size, arity
         ftable._check_dims(k, b, n)
         self.domain_size, self.codomain_size, self.arity = k, b, n
-        self.size = k**n
-        if self.size > TABLE_SIZE_GUARD:
-            raise ValueError(f"table size {self.size} exceeds guard {TABLE_SIZE_GUARD}")
-        remap_entries = math.factorial(n) * self.size
+        self.size = ftable._table_size(k, n)
+        cap = REMAP_GUARD.bit_length()  # cap! alone exceeds the guard
+        remap_entries = math.factorial(min(n, cap)) * self.size
         if remap_entries > REMAP_GUARD:
+            shown = remap_entries if n <= cap else f"{n}! * {k}**{n}"
             raise ValueError(
-                f"{remap_entries} permutation remap entries (n! * k**n) exceed "
+                f"{shown} permutation remap entries (n! * k**n) exceed "
                 f"guard {REMAP_GUARD}"
             )
 
@@ -301,20 +300,25 @@ def _classifier(domain_size, codomain_size, arity) -> TableClassifier:
 
 
 def has_uim(f) -> bool:
-    """All identification minors of ``f`` pairwise equivalent.
+    """All identification minors of ``f`` pairwise equivalent, by the shape's
+    classifier: ``f`` is total, or partial and defined on the repeat tuples."""
+    ctx = _classifier(f.domain_size, f.codomain_size, f.arity)
+    for pair, minor in zip(ctx.pairs, ctx.minors):
+        if None in minor(f.values):
+            raise ValueError(f"partial table undefined at a repeat tuple needed by "
+                             f"the minor for {pair.render()}")
+    return ctx.has_uim(f.values)
 
-    Decided by searching equal-arity equivalence witnesses against the first
-    minor (equivalence is transitive).  Accepts total tables and partial
-    tables defined on the repeat tuples.
-    """
-    if f.arity < 2:
-        raise ValueError("identification minors need arity >= 2")
-    pairs = list(IndexPair.all_pairs(f.arity))
-    minors = [ftable.identification_minor(f, p) for p in pairs]
-    first = minors[0]
-    return all(
-        ftable.are_equivalent_same_arity(first, m) is not None for m in minors[1:]
-    )
+
+def invariance_group(f) -> symmetry.PermutationGroup:
+    """All argument permutations under which ``f`` is invariant, as a
+    validated group.  Undefined entries of a partial table compare too, so
+    an invariant permutation also carries the domain onto itself."""
+    if f.arity == 1:
+        return symmetry.PermutationGroup.trivial(1)
+    ctx = _classifier(f.domain_size, f.codomain_size, f.arity)
+    ids = ctx.invariant_perm_ids(f.values, enumerate(ctx.perm_remaps))
+    return symmetry.PermutationGroup(f.arity, frozenset(Permutation(ctx.perms[s]) for s in ids))
 
 
 def classify(f: FunctionTable) -> Classification:
@@ -426,20 +430,23 @@ def _renamings(values, b):
 def _space_size(k, b, n, mode="exhaustive") -> int:
     """``b**(k**n)``, the number of tables of shape ``(k, b, n)``: at most
     ``EXHAUSTIVE_GUARD`` for an exhaustive run, and for a sampled one, whose
-    report prints it, at most as many digits as the interpreter prints.  It
-    is compared with an exponent capped at the bound's bit length first, so
-    a refused size is never formed."""
+    report prints it, at most as many digits as the interpreter prints.  Reach
+    is decided on a capped exponent, so no large ``k**n`` or size is formed."""
     ftable._check_dims(k, b, n)
-    exponent = k**n
     if mode == "exhaustive":
         bound, name = EXHAUSTIVE_GUARD, f"the exhaustive guard {EXHAUSTIVE_GUARD}"
     elif digits := sys.get_int_max_str_digits():
         bound, name = 10**digits - 1, f"the {digits}-digit limit for printing an integer"
     else:  # the interpreter prints integers of any length
-        return b**exponent
-    if b ** min(exponent, bound.bit_length()) > bound:
-        raise ValueError(f"space of {b}**{exponent} tables exceeds {name}")
-    return b**exponent
+        return b ** (k**n)
+    cap = bound.bit_length()
+    # k**n itself, or above cap, where b**exponent exceeds the bound for b >= 2.
+    exponent = k ** min(n, cap.bit_length())
+    if b ** min(exponent, cap) > bound:
+        # k**n in digits when it is below 2**64, else as the power itself.
+        shown = k**n if n * (k - 1).bit_length() <= 64 else f"({k}**{n})"
+        raise ValueError(f"space of {b}**{shown} tables exceeds {name}")
+    return b**exponent  # b is 1 or the exponent is k**n
 
 
 def _search_chunk(args):
@@ -776,6 +783,7 @@ def _suite_sporadic_total(ks=(2, 3, 4), alpha=1, beta=0):
     and (for domain size > 2) trivial invariance group."""
     checked = 0
     for k in ks:
+        ctx = _classifier(k, max(alpha, beta) + 1, k + 1)
         f = construct.sporadic_function(k, alpha, beta)
         marked = {construct.marked_tuple(k, p) for p in IndexPair.all_pairs(k + 1)}
         for t, v in zip(all_tuples(k, k + 1), f.values):
@@ -784,14 +792,14 @@ def _suite_sporadic_total(ks=(2, 3, 4), alpha=1, beta=0):
             if v != want:
                 return checked, f"k={k}: wrong value at {render_tuple(t)}"
         checked += 1
-        if not has_uim(f):
+        if not ctx.has_uim(f.values):
             return checked, f"k={k}: identification minors are not all equivalent"
         checked += 1
-        if decomp.equiv_to_ofo_determined(f) is not None:
+        if ctx.equiv_ofo_determined(f.values):
             return checked, f"k={k}: unexpectedly equivalent to an ofo-determined table"
         if k >= 3:
             checked += 1
-            if symmetry.invariance_group(f).order != 1:
+            if ctx.invariance_summary(f.values)[0] != 1:
                 return checked, f"k={k}: invariance group is not trivial"
     return checked, None
 
@@ -803,28 +811,29 @@ def _suite_sporadic_partial(cases=((3, 2), (4, 3), (4, 2)), alpha=1, beta=0):
     arity reaches 3."""
     checked = 0
     for k, m in cases:
-        pf = construct.sporadic_partial_function(k, m, alpha, beta)
         b = max(alpha, beta) + 1
+        ctx = _classifier(k, b, m + 1)
+        pf = construct.sporadic_partial_function(k, m, alpha, beta)
         keys = decomp._ofo_domain(k, m)
         target_star = decomp.OfoTable(
             k, b, m,
             {key: (alpha if key == tuple(range(m)) else beta) for key in keys},
         )
-        expected = decomp.compose_ofo(target_star, m)
-        for pair in IndexPair.all_pairs(m + 1):
+        expected = decomp.compose_ofo(target_star, m).values
+        orbit = {perm(expected) for perm in ctx.sub_perms}
+        for pair, minor in zip(ctx.pairs, ctx.minors):
             checked += 1
-            minor = ftable.identification_minor(pf, pair)
-            if ftable.are_equivalent_same_arity(minor, expected) is None:
+            if minor(pf.values) not in orbit:
                 return checked, f"k={k}, m={m}: minor for {pair.render()} is off"
         checked += 1
-        if decomp.equiv_to_ofo_determined(pf) is not None:
+        if ctx.equiv_ofo_determined(pf.values):
             return checked, (
                 f"k={k}, m={m}: unexpectedly equivalent to a partial "
                 f"ofo-determined table"
             )
         if m >= 3:
             checked += 1
-            if symmetry.is_2_set_transitive_fn(pf):
+            if ctx.two_set_transitive(pf.values):
                 return checked, f"k={k}, m={m}: restriction is 2-set-transitive"
     return checked, None
 

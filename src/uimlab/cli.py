@@ -16,7 +16,8 @@ permutations, and pairs 1-based.  ``search --threads N`` sets how many worker
 processes a search may use, at most one per CPU; without it
 ``UIMLAB_THREADS`` does (default 1); a count below 1 from either is a usage
 error.  Reports are identical for every count.  A table space beyond
-``search``'s guards, or a whole-space suite's, is a usage error too.
+``search``'s guards or a whole-space suite's, and a table beyond the guards
+of the classifier that ``check`` and ``classify`` use, are usage errors too.
 """
 
 import argparse

@@ -25,6 +25,7 @@ from .ftable import (
     PartialFunctionTable,
     TableFormatError,
     _read_json,
+    _table_size,
     canonical_dumps,
 )
 from .tuples import (
@@ -140,6 +141,7 @@ def build(spec: GluingSpec):
     each tuple are evaluated and must agree (guaranteed once :func:`validate`
     passes, but cheap to confirm at these sizes).
     """
+    _table_size(spec.domain_size, spec.base_arity + 1)  # before any check or entry
     problems = validate(spec)
     if problems:
         raise ValueError("invalid gluing spec: " + "; ".join(problems))
@@ -197,6 +199,7 @@ def _sporadic(mode, domain_size, base_arity, alpha, beta) -> GluingSpec:
     if alpha < 0 or beta < 0:
         raise ValueError("codomain symbols are nonnegative")
     k, m = domain_size, base_arity
+    _table_size(k, m + 1)  # before the k**m-entry prescribed minor is built
     b = max(alpha, beta) + 1
     pairs = list(IndexPair.all_pairs(m + 1))
     h = _indicator_table(k, b, m, alpha, beta)

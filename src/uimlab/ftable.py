@@ -32,6 +32,7 @@ from .tuples import (
 __all__ = [
     "FunctionTable",
     "PartialFunctionTable",
+    "TABLE_SIZE_GUARD",
     "TableFormatError",
     "are_equivalent",
     "are_equivalent_same_arity",
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 
+# Largest single table (k**n entries) the library will build.
+TABLE_SIZE_GUARD = 1 << 20
+
+
 class TableFormatError(ValueError):
     """A table file or JSON object does not match the documented format."""
 
@@ -58,6 +63,16 @@ def _check_dims(domain_size, codomain_size, arity):
         raise ValueError(f"codomain size must be >= 1, got {codomain_size}")
     if arity < 1:
         raise ValueError(f"arity must be >= 1, got {arity}")
+
+
+def _table_size(domain_size, arity) -> int:
+    """``k**n`` table entries, or ``ValueError`` above ``TABLE_SIZE_GUARD``;
+    the exponent is capped first, so a larger size is never formed."""
+    size = domain_size ** min(arity, TABLE_SIZE_GUARD.bit_length())
+    if size > TABLE_SIZE_GUARD:
+        raise ValueError(f"a table of {domain_size}**{arity} entries exceeds the "
+                         f"table size guard {TABLE_SIZE_GUARD}")
+    return size
 
 
 @dataclass(frozen=True)

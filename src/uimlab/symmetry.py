@@ -1,25 +1,16 @@
-"""Invariance groups of function tables, total symmetry, 2-set-transitivity,
-and the permutation induced on collapsed argument positions.
-
-A table's invariance group is the set of argument permutations that leave it
-unchanged.  For a partial table, an invariant permutation must additionally
-carry the domain onto itself (automatic when the domain is the set of repeat
-tuples, which every permutation preserves).
+"""Permutation groups, 2-set-transitivity of a group, and the permutation
+induced on collapsed argument positions.  A table's invariance group is
+built by :func:`uimlab.analysis.invariance_group`.
 """
 
 from dataclasses import dataclass
-from math import factorial
 
-from .tuples import IndexPair, Permutation, collapse_map, pullback_remap
+from .tuples import IndexPair, Permutation, collapse_map
 
 __all__ = [
     "PermutationGroup",
     "collapse_permutation",
-    "invariance_group",
     "is_2_set_transitive",
-    "is_2_set_transitive_fn",
-    "is_invariant_under",
-    "is_totally_symmetric",
 ]
 
 
@@ -28,7 +19,10 @@ class PermutationGroup:
     """An explicit set of permutations of one degree.
 
     Construction checks identity and closure, which implies inverses in a
-    finite set; it costs O(|G|^2) products, fine for small degrees.
+    finite set.  Closure is decided on a greedy generating set: each element
+    not yet generated joins it, and the subgroup generated so far is closed
+    again by breadth-first search.  Every product formed must lie in the
+    set, and at most 2 * |G| * log2|G| are formed.
     """
 
     degree: int
@@ -45,12 +39,24 @@ class PermutationGroup:
         if Permutation.identity(self.degree) not in elems:
             raise ValueError("missing identity element")
         images = {s.images for s in elems}
-        for a in elems:
-            for b in elems:
-                if tuple(a.images[v] for v in b.images) not in images:
-                    raise ValueError(
-                        f"not closed under composition: {a.one_line()} after {b.one_line()}"
-                    )
+        generated = {tuple(range(self.degree))}
+        gens = []
+        for g in sorted(images):
+            if g in generated:
+                continue
+            gens.append(g)
+            frontier = list(generated)
+            while frontier:
+                a = frontier.pop()
+                for b in gens:
+                    ab = tuple(a[v] for v in b)
+                    if ab not in images:
+                        raise ValueError("not closed under composition: "
+                                         f"{Permutation(a).one_line()} after "
+                                         f"{Permutation(b).one_line()}")
+                    if ab not in generated:
+                        generated.add(ab)
+                        frontier.append(ab)
 
     @property
     def order(self) -> int:
@@ -63,31 +69,6 @@ class PermutationGroup:
     @classmethod
     def trivial(cls, n: int) -> "PermutationGroup":
         return cls(n, frozenset({Permutation.identity(n)}))
-
-
-def is_invariant_under(f, sigma: Permutation) -> bool:
-    """Does ``f`` equal itself precomposed with the pullback of ``sigma``?
-
-    Partial tables compare ``None`` markers too, which makes the check require
-    that the pullback maps the domain onto itself.
-    """
-    if sigma.degree != f.arity:
-        raise ValueError(f"degree {sigma.degree} != arity {f.arity}")
-    remap = pullback_remap(f.domain_size, sigma.images, f.arity)
-    return tuple(map(f.values.__getitem__, remap)) == f.values
-
-
-def invariance_group(f) -> PermutationGroup:
-    """All permutations under which ``f`` is invariant, as a validated group."""
-    elems = frozenset(
-        s for s in Permutation.all_perms(f.arity) if is_invariant_under(f, s)
-    )
-    return PermutationGroup(f.arity, elems)
-
-
-def is_totally_symmetric(f) -> bool:
-    """True iff every argument permutation leaves ``f`` unchanged."""
-    return all(is_invariant_under(f, s) for s in Permutation.all_perms(f.arity))
 
 
 def is_2_set_transitive(group: PermutationGroup) -> bool:
@@ -103,11 +84,6 @@ def is_2_set_transitive(group: PermutationGroup) -> bool:
     base = IndexPair(0, 1)
     orbit = {s.pair_image(base) for s in group.elements}
     return len(orbit) == n * (n - 1) // 2
-
-
-def is_2_set_transitive_fn(f) -> bool:
-    """Is the invariance group of ``f`` transitive on pairs of positions?"""
-    return is_2_set_transitive(invariance_group(f))
 
 
 def collapse_permutation(sigma: Permutation, pair: IndexPair):

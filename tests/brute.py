@@ -1,0 +1,41 @@
+"""Brute-force oracles for the classifier's answers, decided from the
+definitions without :class:`uimlab.analysis.TableClassifier`.
+
+A table has a unique identification minor when every minor is equivalent to
+the first, each equivalence found by searching permutations; its invariance
+group is S_n filtered by pulling the table back along each permutation.
+Undefined entries of a partial table compare like values, so an invariant
+permutation also carries the domain onto itself.
+"""
+
+from math import factorial
+
+from uimlab.ftable import are_equivalent_same_arity, identification_minor
+from uimlab.symmetry import PermutationGroup, is_2_set_transitive
+from uimlab.tuples import IndexPair, Permutation, pullback_remap
+
+
+def has_uim(f) -> bool:
+    if f.arity < 2:
+        raise ValueError("identification minors need arity >= 2")
+    minors = [identification_minor(f, p) for p in IndexPair.all_pairs(f.arity)]
+    return all(are_equivalent_same_arity(minors[0], m) is not None for m in minors[1:])
+
+
+def is_invariant_under(f, sigma: Permutation) -> bool:
+    remap = pullback_remap(f.domain_size, sigma.images, f.arity)
+    return tuple(map(f.values.__getitem__, remap)) == f.values
+
+
+def invariance_group(f) -> PermutationGroup:
+    return PermutationGroup(f.arity, frozenset(
+        s for s in Permutation.all_perms(f.arity) if is_invariant_under(f, s)
+    ))
+
+
+def is_totally_symmetric(f) -> bool:
+    return invariance_group(f).order == factorial(f.arity)
+
+
+def is_2_set_transitive_fn(f) -> bool:
+    return is_2_set_transitive(invariance_group(f))

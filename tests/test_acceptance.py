@@ -7,12 +7,11 @@ lines; every criterion also enforces its runtime budget.
 import time
 from itertools import product
 
-from uimlab import analysis
+import brute
 from uimlab.analysis import TableClassifier, search, verify_suite
 from uimlab.construct import marked_tuple, sporadic_function
 from uimlab.decomp import SuppTable, compose_supp
 from uimlab.ftable import FunctionTable
-from uimlab.symmetry import is_2_set_transitive_fn, is_totally_symmetric
 from uimlab.tuples import IndexPair, decode, ofo
 
 
@@ -105,8 +104,8 @@ def test_07_support_class_equalities():
         composed = set()
         for vals in product(range(2), repeat=3):
             f = compose_supp(SuppTable.from_values(2, 2, 2, vals), 4)
-            assert is_totally_symmetric(f)
-            assert is_2_set_transitive_fn(f)
+            assert brute.is_totally_symmetric(f)
+            assert brute.is_2_set_transitive_fn(f)
             assert ctx.ofo_determined(tuple(f.values))
             composed.add(f.values)
         swept = set()
@@ -151,7 +150,7 @@ def test_11_conjecture_evidence_run():
         assert first.counts["OTHER"] == len(first.other_witnesses)
         for witness in first.other_witnesses:
             table = FunctionTable(2, 2, 4, tuple(witness["values"]))
-            assert analysis.has_uim(table)
+            assert brute.has_uim(table)
         uim_total = (
             first.counts["2ST"] + first.counts["OFO-EQ"] + first.counts["OTHER"]
         )

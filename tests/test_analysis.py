@@ -8,13 +8,15 @@ from itertools import product
 
 import pytest
 
-from uimlab import analysis, symmetry
+import brute
+from uimlab import analysis, construct, symmetry
 from uimlab.analysis import (
     Classification,
     RestrictionSummary,
     TableClassifier,
     classify,
     has_uim,
+    invariance_group,
     sample_index,
     search,
     verify_suite,
@@ -30,13 +32,9 @@ from uimlab.decomp import (
     ofo_decompose,
     supp_decompose,
 )
-from uimlab.ftable import FunctionTable, restrict_to_repeats
-from uimlab.symmetry import (
-    invariance_group,
-    is_2_set_transitive,
-    is_2_set_transitive_fn,
-    is_totally_symmetric,
-)
+from uimlab.construct import sporadic_partial_function
+from uimlab.ftable import FunctionTable, PartialFunctionTable, restrict_to_repeats
+from uimlab.symmetry import is_2_set_transitive
 from uimlab.tuples import IndexPair, Permutation, apply_index_map, decode, encode
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
@@ -61,6 +59,26 @@ def test_sporadic_has_uim():
 def test_has_uim_rejects_unary():
     with pytest.raises(ValueError):
         has_uim(FunctionTable(2, 2, 1, (0, 1)))
+
+
+def test_has_uim_rejects_a_partial_table_undefined_at_a_repeat_tuple():
+    # undefined at (1, 1, 0), which the minor for {1,2} reads
+    vals = list(MAJ3.values)
+    vals[encode((1, 1, 0), 2)] = None
+    with pytest.raises(ValueError, match="undefined at a repeat tuple.*minor for {1,2}"):
+        has_uim(PartialFunctionTable(2, 2, 3, vals))
+
+
+@pytest.mark.parametrize("case", [(3, 2), (4, 3), (4, 2)], ids=["k3m2", "k4m3", "k4m2"])
+def test_classifier_agrees_with_the_brute_force_on_the_partial_sporadic_tables(case):
+    # the default prop-52 cases, defined exactly on the repeat tuples
+    pf = sporadic_partial_function(*case)
+    ctx = TableClassifier(pf.domain_size, pf.codomain_size, pf.arity)
+    group = brute.invariance_group(pf)
+    assert has_uim(pf) == ctx.has_uim(pf.values) == brute.has_uim(pf)
+    assert ctx.equiv_ofo_determined(pf.values) == (equiv_to_ofo_determined(pf) is not None)
+    assert ctx.invariance_summary(pf.values) == (group.order, is_2_set_transitive(group))
+    assert invariance_group(pf) == group
 
 
 def test_classify_majority():
@@ -128,9 +146,9 @@ def test_classifier_agrees_with_the_direct_operations(shape):
     for vals in _agreement_tables(*shape):
         f = FunctionTable(*shape, vals)
         c = ctx.classify_values(vals)
-        assert c.has_uim == has_uim(f)
-        assert c.totally_symmetric == is_totally_symmetric(f)
-        assert c.two_set_transitive == is_2_set_transitive_fn(f)
+        assert c.has_uim == brute.has_uim(f) == has_uim(f)
+        assert c.totally_symmetric == brute.is_totally_symmetric(f)
+        assert c.two_set_transitive == brute.is_2_set_transitive_fn(f)
         assert c.ofo_determined == (ofo_decompose(f) is not None)
         assert c.supp_determined == (supp_decompose(f) is not None)
         assert c.equiv_ofo_determined == (equiv_to_ofo_determined(f) is not None)
@@ -149,7 +167,8 @@ def test_restriction_record_agrees_with_the_direct_operations(shape):
     for vals in _agreement_tables(*shape):
         f = FunctionTable(*shape, vals)
         pf = restrict_to_repeats(f)
-        group = invariance_group(pf)
+        group = brute.invariance_group(pf)
+        assert invariance_group(pf) == group
         r = classify(f).restriction
         assert r == RestrictionSummary(
             ofo_determined=ofo_decompose(pf) is not None,
@@ -239,9 +258,8 @@ def _two_set_tables(k, b, n):
     """Every table of a space of at most 2**13; beyond, seeded random tables,
     fewer as the brute force's n! permutations grow, seeded supp-determined
     ones (2ST, being totally symmetric) at arity 5 or less, and at (2,2,6)
-    :func:`_design_table`.  A totally symmetric table at arity 6 costs the
-    brute force's group axiom check 720**2 products, about 2.4 s.  The whole
-    (2,2,4) space would take it about 22 s."""
+    :func:`_design_table`.  The brute force pulls every table back along
+    all n! permutations."""
     if b ** (k**n) <= 1 << 13:
         return [decode(index, k**n, b) for index in range(b ** (k**n))]
     rng = random.Random(29)
@@ -264,12 +282,12 @@ def _two_set_tables(k, b, n):
     ids=["k2b2n3", "k2b3n3", "k3b2n2", "k2b2n4", "k3b2n3", "k2b2n5", "k2b2n6"],
 )
 def test_two_set_transitive_agrees_with_the_brute_force(shape):
-    # the brute force is symmetry.is_2_set_transitive_fn, spelled out so that
+    # the brute force is brute.is_2_set_transitive_fn, spelled out so that
     # the group it builds also checks the invariance group order
     ctx = TableClassifier(*shape)
     seen = set()
     for vals in _two_set_tables(*shape):
-        group = invariance_group(FunctionTable(*shape, vals))
+        group = brute.invariance_group(FunctionTable(*shape, vals))
         two_set = is_2_set_transitive(group)
         assert ctx.two_set_transitive(vals) == two_set
         assert ctx.invariance_summary(vals) == (group.order, two_set)
@@ -370,6 +388,22 @@ def test_uim_2st_suite_rejects_a_planted_fault(monkeypatch):
     report = verify_suite("uim-2st")
     assert not report.passed
     assert report.counterexample == f"n=4, table {encode(target, 2)}"
+
+
+def test_prop_52_suite_rejects_a_minor_outside_the_orbit(monkeypatch):
+    # beta becomes alpha at (1, 1, 1): every minor then takes alpha twice,
+    # and the first pair checked must fail the suite
+    sporadic_partial = construct.sporadic_partial_function
+
+    def planted(k, m, alpha, beta):
+        vals = list(sporadic_partial(k, m, alpha, beta).values)
+        vals[encode((1,) * (m + 1), k)] = alpha
+        return PartialFunctionTable(k, max(alpha, beta) + 1, m + 1, vals)
+
+    monkeypatch.setattr(construct, "sporadic_partial_function", planted)
+    report = verify_suite("prop-52", cases=((3, 2),))
+    assert (report.passed, report.checked) == (False, 1)
+    assert report.counterexample == "k=3, m=2: minor for {1,2} is off"
 
 
 def test_lemma_hatsigma_suite_rejects_a_wrong_collapse_permutation(monkeypatch):

@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -369,12 +371,60 @@ def test_verify_whole_space_guard_exit(capsys):
         (["search", "--k", "5", "--b", "2", "--n", "6", "--samples", "2"],
          f"space of 2**15625 tables exceeds the "
          f"{sys.get_int_max_str_digits()}-digit limit"),
+        # an exponent too long to print is named as a power, not in digits
+        (["search", "--k", "2", "--b", "2", "--n", "20000", "--exhaustive"],
+         f"space of 2**(2**20000) tables exceeds the exhaustive guard {2**24}"),
+        (["verify", "--suite", "uim-2st", "--n", "20000"],
+         f"space of 2**(2**20000) tables exceeds the exhaustive guard {2**24}"),
     ],
-    ids=["uim-2st", "renaming-invariance", "exhaustive", "sampled"],
+    ids=["uim-2st", "renaming-invariance", "exhaustive", "sampled",
+         "exhaustive-n20000", "uim-2st-n20000"],
 )
 def test_an_out_of_reach_space_exits_2_naming_it(argv, message, capsys):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 7**8 entries: refused before the spec's minor tables are built
+        (["construct", "prop4", "--k", "7", "-o", "unused.json"],
+         f"a table of 7**8 entries exceeds the table size guard {2**20}"),
+        # 7! * 6**7 remap entries: refused before the table is built
+        (["verify", "--suite", "prop-42", "--k", "6"],
+         f"1410877440 permutation remap entries (n! * k**n) exceed guard {2**24}"),
+        # one-entry tables: n! is named, not formed
+        (["search", "--k", "1", "--b", "2", "--n", "2000", "--samples", "1"],
+         f"2000! * 1**2000 permutation remap entries (n! * k**n) exceed guard {2**24}"),
+    ],
+    ids=["construct-prop4-k7", "prop-42-k6", "search-k1-n2000"],
+)
+def test_a_table_out_of_reach_exits_2_at_once(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    started = time.perf_counter()
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - started < 1
+    assert message in capsys.readouterr().err
+
+
+def test_check_refuses_a_shape_beyond_the_remap_guard(tmp_path, capsys):
+    # check decides through the shape's classifier: 9! * 2**9 remap entries
+    path = tmp_path / "n9.json"
+    save_table(FunctionTable(2, 2, 9, (0,) * 2**9), path)
+    assert cli.main(["check", str(path)]) == 2
+    assert "185794560 permutation remap entries" in capsys.readouterr().err
+
+
+def test_entry_point_declared_in_pyproject(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["uimlab"]
+    module, _, attr = target.partition(":")
+    main = getattr(import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["uimlab", "ofo", "kayak"])
+    assert main() == 0
+    assert capsys.readouterr().out.strip() == "kay"
 
 
 @pytest.mark.skipif(shutil.which("uimlab") is None, reason="script not installed")

@@ -2,17 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import brute
+from uimlab.analysis import invariance_group
 from uimlab.decomp import SuppTable, compose_supp
 from uimlab.ftable import FunctionTable, PartialFunctionTable, restrict_to_repeats
-from uimlab.symmetry import (
-    PermutationGroup,
-    collapse_permutation,
-    invariance_group,
-    is_2_set_transitive,
-    is_2_set_transitive_fn,
-    is_invariant_under,
-    is_totally_symmetric,
-)
+from uimlab.symmetry import PermutationGroup, collapse_permutation, is_2_set_transitive
 from uimlab.tuples import IndexPair, Permutation, collapse_map
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
@@ -35,31 +29,52 @@ def test_group_validation_rejects_broken_sets():
         PermutationGroup(3, frozenset())
 
 
+def test_group_validation_rejects_two_transpositions_without_their_product():
+    swaps = {Permutation((1, 0, 2)), Permutation((0, 2, 1))}
+    with pytest.raises(ValueError, match="not closed under composition"):
+        PermutationGroup(3, frozenset({Permutation.identity(3)} | swaps))
+
+
+def test_symmetric_group_of_degree_8_is_validated():
+    assert PermutationGroup.symmetric(8).order == 40320
+
+
 def test_invariance_group_of_majority_is_full():
-    assert invariance_group(MAJ3) == PermutationGroup.symmetric(3)
+    assert invariance_group(MAJ3) == brute.invariance_group(MAJ3) == PermutationGroup.symmetric(3)
 
 
 def test_invariance_group_of_projection_is_trivial():
+    assert invariance_group(PROJ1_2) == brute.invariance_group(PROJ1_2)
     assert invariance_group(PROJ1_2) == PermutationGroup.trivial(2)
+
+
+def test_invariance_group_of_unary_table_is_trivial():
+    assert invariance_group(FunctionTable(2, 2, 1, (0, 1))) == PermutationGroup.trivial(1)
 
 
 def test_invariance_group_of_partial_table():
     # defined on the diagonal only; any argument swap preserves it
     vals = tuple(0 if i in (0, 4, 8) else None for i in range(9))
     pf = PartialFunctionTable(3, 2, 2, vals)
+    assert invariance_group(pf) == brute.invariance_group(pf)
     assert invariance_group(pf).order == 2
 
 
-def test_is_invariant_under_checks_domain():
+def test_invariance_group_checks_domain():
     # defined at (0,1) but not (1,0): the swap moves the domain
     pf = PartialFunctionTable(2, 2, 2, (None, 0, None, None))
-    assert not is_invariant_under(pf, Permutation((1, 0)))
-    assert is_invariant_under(pf, Permutation.identity(2))
+    assert invariance_group(pf) == brute.invariance_group(pf)
+    assert invariance_group(pf).order == 1
+
+
+def test_invariance_group_of_a_totally_symmetric_arity_7_table():
+    f = compose_supp(SuppTable.from_values(2, 2, 2, (0, 1, 1)), 7)
+    assert invariance_group(f).order == 5040
 
 
 def test_totally_symmetric():
-    assert is_totally_symmetric(MAJ3)
-    assert not is_totally_symmetric(PROJ1_2)
+    assert invariance_group(MAJ3).order == 6 and brute.is_totally_symmetric(MAJ3)
+    assert invariance_group(PROJ1_2).order == 1 and not brute.is_totally_symmetric(PROJ1_2)
 
 
 def test_supp_built_tables_are_totally_symmetric():
@@ -72,7 +87,8 @@ def test_supp_built_tables_are_totally_symmetric():
             )
         )
         f = compose_supp(SuppTable(2, 2, 2, entries), 3)
-        assert is_totally_symmetric(f)
+        assert invariance_group(f).order == 6
+        assert brute.is_totally_symmetric(f)
 
 
 def test_two_set_transitivity_of_groups():
@@ -88,12 +104,12 @@ def test_two_set_transitivity_of_groups():
 
 
 def test_two_set_transitivity_of_tables():
-    assert is_2_set_transitive_fn(MAJ3)
+    proj3 = FunctionTable.from_callable(2, 2, 3, lambda t: t[0])
     # at arity 2 there is a single pair, so even a trivial group acts
     # transitively on it
-    assert is_2_set_transitive_fn(PROJ1_2)
-    proj3 = FunctionTable.from_callable(2, 2, 3, lambda t: t[0])
-    assert not is_2_set_transitive_fn(proj3)
+    for f, two_set in ((MAJ3, True), (PROJ1_2, True), (proj3, False)):
+        assert is_2_set_transitive(invariance_group(f)) == two_set
+        assert brute.is_2_set_transitive_fn(f) == two_set
 
 
 def test_collapse_permutation_identity():
@@ -136,4 +152,5 @@ def test_collapse_permutation_random(images, data):
 
 def test_restriction_of_symmetric_table_stays_symmetric():
     pf = restrict_to_repeats(compose_supp(SuppTable.constant(3, 2, 2, 1), 2))
+    assert invariance_group(pf) == brute.invariance_group(pf)
     assert invariance_group(pf).order == 2

@@ -36,7 +36,6 @@ from .decomp import (
 )
 from .ftable import (
     FunctionTable,
-    PartialFunctionTable,
     TableFormatError,
     are_equivalent,
     are_equivalent_same_arity,

@@ -77,7 +77,7 @@ def _classification_obj(c) -> dict:
 
 def cmd_classify(args) -> int:
     f = ftable.load_table(args.file)
-    if isinstance(f, ftable.PartialFunctionTable):
+    if None in f.values:
         raise TableFormatError(f"{args.file}: classify expects a total table")
     c = analysis.classify(f)
     if args.json:
@@ -106,9 +106,7 @@ def cmd_classify(args) -> int:
 def cmd_ofo(args) -> int:
     text = args.string
     if "," in text or text.startswith("("):
-        symbols = parse_tuple(text, 1 + max(int(p) - 1 for p in
-                                            text.strip("() ").split(",")))
-        print(render_tuple(ofo(symbols)))
+        print(render_tuple(ofo(parse_tuple(text))))
     else:
         print("".join(ofo(text)))
     return 0
@@ -125,8 +123,7 @@ def cmd_construct(args) -> int:
     else:  # gpphi
         table = construct.build(construct.load_spec(args.spec))
     ftable.save_table(table, args.output)
-    kind = "partial table" if isinstance(table, ftable.PartialFunctionTable) \
-        else "table"
+    kind = "partial table" if None in table.values else "table"
     print(f"wrote {args.output}: arity {table.arity} {kind} over "
           f"{table.domain_size} symbols")
     return 0

@@ -22,7 +22,6 @@ from pathlib import Path
 from .decomp import SuppTable, supp_table_from_json_obj, supp_table_to_json_obj
 from .ftable import (
     FunctionTable,
-    PartialFunctionTable,
     TableFormatError,
     _read_json,
     _table_size,
@@ -115,6 +114,9 @@ def validate(spec: GluingSpec) -> list:
         if (g_i.domain_size, g_i.codomain_size, g_i.arity) != (k, b, m):
             out.append(f"minor for {pair.render()} has wrong shape")
             continue
+        if None in g_i.values:
+            out.append(f"minor for {pair.render()} has an undefined entry")
+            continue
         if spec.twists[pair].degree != m:
             out.append(f"twist for {pair.render()} must have degree {m}")
         if spec.pairing[pair] not in pairs:
@@ -133,7 +135,8 @@ def validate(spec: GluingSpec) -> list:
 
 
 def build(spec: GluingSpec):
-    """Assemble the glued function.
+    """Assemble the glued function; in partial mode its repeat-free tuples
+    stay ``None``.
 
     Every domain tuple with a repeated pair of entries is the pullback of a
     unique shorter tuple along that pair's collapse map; its value is the
@@ -160,9 +163,7 @@ def build(spec: GluingSpec):
                 raise RuntimeError(
                     f"inconsistent gluing at {render_tuple(decode(i, n, k))}"
                 )
-    if spec.mode == "total":
-        return FunctionTable(k, b, n, tuple(vals))
-    return PartialFunctionTable(k, b, n, tuple(vals))
+    return FunctionTable(k, b, n, tuple(vals))
 
 
 def marked_tuple(base_arity: int, pair: IndexPair):
@@ -240,7 +241,7 @@ def sporadic_function(domain_size: int, alpha: int = 1, beta: int = 0) -> Functi
 
 
 def sporadic_partial_function(domain_size: int, base_arity: int,
-                              alpha: int = 1, beta: int = 0) -> PartialFunctionTable:
+                              alpha: int = 1, beta: int = 0) -> FunctionTable:
     """The partial sporadic example on the repeat tuples of arity m+1."""
     return build(sporadic_partial_spec(domain_size, base_arity, alpha, beta))
 

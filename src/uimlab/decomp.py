@@ -10,7 +10,7 @@ is *supp-determined* when the value depends only on the set of symbols.
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .ftable import FunctionTable, PartialFunctionTable, TableFormatError
+from .ftable import FunctionTable, TableFormatError
 from .tuples import (
     IndexPair,
     Permutation,
@@ -195,18 +195,14 @@ def equiv_to_ofo_determined(f):
 
     Returns the lexicographically least ``(sigma, f_star)`` such that ``f``
     equals ``compose_ofo(f_star, n)`` precomposed with the pullback of
-    ``sigma``, or ``None``.  For a partial ``f`` the witness table is partial
-    on the transported domain.
+    ``sigma``, or ``None``.  For a partial ``f`` (``None`` entries) the
+    equation holds on the transported domain, and ``f_star`` flags the keys
+    whose fiber misses it as unconstrained.
     """
-    n, k, b = f.arity, f.domain_size, f.codomain_size
-    partial = isinstance(f, PartialFunctionTable)
-    table_cls = PartialFunctionTable if partial else FunctionTable
-    for sig in permutations(range(n)):
-        inv = sorted(range(n), key=sig.__getitem__)
-        vals = tuple(map(f.values.__getitem__, pullback_remap(k, inv, n)))
-        f_star = ofo_decompose(table_cls(k, b, n, vals))
+    for sigma in Permutation.all_perms(f.arity):
+        f_star = ofo_decompose(f.minor_by(sigma.inverse()))
         if f_star is not None:
-            return Permutation(sig), f_star
+            return sigma, f_star
     return None
 
 

@@ -1,9 +1,10 @@
-"""Dense function tables (total and partial), identification minors, the
-minor quasi-order, equivalence, essential arguments, and table file I/O.
+"""Dense function tables, identification minors, the minor quasi-order,
+equivalence, essential arguments, and table file I/O.
 
-A total table stores the value vector of a function on k^n inputs in
-encode-index order.  A partial table uses ``None`` for undefined entries; the
-distinguished domain of interest is the set of tuples containing a repeat.
+A table stores the value vector of a function on k^n inputs in encode-index
+order.  A partial table is the same type with ``None`` at each undefined
+input; the distinguished domain of interest is the set of tuples containing a
+repeat.
 
 File format: a JSON object ``{"domain_size": k, "codomain_size": b,
 "arity": n, "values": [...]}`` with ``values`` in encode-index order and
@@ -31,7 +32,6 @@ from .tuples import (
 
 __all__ = [
     "FunctionTable",
-    "PartialFunctionTable",
     "TABLE_SIZE_GUARD",
     "TableFormatError",
     "are_equivalent",
@@ -77,7 +77,8 @@ def _table_size(domain_size, arity) -> int:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """A total function on k^n inputs as a dense value vector."""
+    """A function on k^n inputs as a dense value vector in encode-index
+    order; ``None`` marks an input where a partial table is undefined."""
 
     domain_size: int
     codomain_size: int
@@ -91,11 +92,14 @@ class FunctionTable:
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} values, got {len(self.values)}")
         for v in self.values:
-            if not isinstance(v, int) or not 0 <= v < self.codomain_size:
+            if v is not None and not (isinstance(v, int) and 0 <= v < self.codomain_size):
                 raise ValueError(f"value {v!r} out of range 0..{self.codomain_size - 1}")
 
     def __call__(self, t):
-        return self.values[encode(t, self.domain_size)]
+        v = self.values[encode(t, self.domain_size)]
+        if v is None:
+            raise ValueError(f"table is undefined at {render_tuple(t)}")
+        return v
 
     @classmethod
     def from_callable(cls, domain_size, codomain_size, arity, fn):
@@ -115,44 +119,8 @@ class FunctionTable:
         return FunctionTable(k, self.codomain_size, tau.target, vals)
 
 
-@dataclass(frozen=True)
-class PartialFunctionTable:
-    """A function defined on a subset of the tuple space; undefined entries
-    are stored as ``None`` so indexing matches :class:`FunctionTable`."""
-
-    domain_size: int
-    codomain_size: int
-    arity: int
-    values: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        _check_dims(self.domain_size, self.codomain_size, self.arity)
-        expected = self.domain_size**self.arity
-        if len(self.values) != expected:
-            raise ValueError(f"expected {expected} values, got {len(self.values)}")
-        for v in self.values:
-            if v is None:
-                continue
-            if not isinstance(v, int) or not 0 <= v < self.codomain_size:
-                raise ValueError(f"value {v!r} out of range 0..{self.codomain_size - 1}")
-
-    def __call__(self, t):
-        v = self.values[encode(t, self.domain_size)]
-        if v is None:
-            raise ValueError(f"table is undefined at {render_tuple(t)}")
-        return v
-
-    def is_defined(self, t) -> bool:
-        return self.values[encode(t, self.domain_size)] is not None
-
-    @property
-    def defined_count(self) -> int:
-        return sum(1 for v in self.values if v is not None)
-
-
-def restrict_to_repeats(f: FunctionTable) -> PartialFunctionTable:
-    """Drop the values of ``f`` on repeat-free tuples.  Identification minors
+def restrict_to_repeats(f: FunctionTable) -> FunctionTable:
+    """``f`` with ``None`` on every repeat-free tuple.  Identification minors
     only ever read the remaining entries."""
     if f.arity < 2:
         raise ValueError("restriction to repeat tuples needs arity >= 2")
@@ -160,7 +128,7 @@ def restrict_to_repeats(f: FunctionTable) -> PartialFunctionTable:
         v if has_repeat(t) else None
         for t, v in zip(all_tuples(f.domain_size, f.arity), f.values)
     )
-    return PartialFunctionTable(f.domain_size, f.codomain_size, f.arity, vals)
+    return FunctionTable(f.domain_size, f.codomain_size, f.arity, vals)
 
 
 def identification_minor(f, pair: IndexPair) -> FunctionTable:
@@ -171,18 +139,15 @@ def identification_minor(f, pair: IndexPair) -> FunctionTable:
     with a repeated entry; the collapsed input always has one, so the result
     is total either way.
     """
-    n = f.arity
-    if n < 2:
+    if f.arity < 2:
         raise ValueError("identification minors need arity >= 2")
-    k = f.domain_size
-    remap = pullback_remap(k, collapse_map(pair, n).images, n - 1)
-    vals = tuple(map(f.values.__getitem__, remap))
-    if None in vals:
+    minor = f.minor_by(collapse_map(pair, f.arity))
+    if None in minor.values:
         raise ValueError(
             f"partial table undefined at a repeat tuple needed by the minor "
             f"for {pair.render()}"
         )
-    return FunctionTable(k, f.codomain_size, n - 1, vals)
+    return minor
 
 
 def _check_same_alphabets(f, g):
@@ -280,8 +245,8 @@ def table_to_json_obj(table) -> dict:
 
 
 def table_from_json_obj(obj, where: str = "table"):
-    """Parse a table object, returning a :class:`FunctionTable`, or a
-    :class:`PartialFunctionTable` when any entry is ``null``."""
+    """Parse a table object into a :class:`FunctionTable`; a ``null`` entry
+    becomes ``None``, an undefined input."""
     if not isinstance(obj, dict):
         raise TableFormatError(f"{where}: expected a JSON object")
     for key in ("domain_size", "codomain_size", "arity"):
@@ -293,9 +258,10 @@ def table_from_json_obj(obj, where: str = "table"):
     for i, v in enumerate(values):
         if v is not None and not isinstance(v, int):
             raise TableFormatError(f"{where}: values[{i}] is not an integer or null")
-    cls = PartialFunctionTable if any(v is None for v in values) else FunctionTable
     try:
-        return cls(obj["domain_size"], obj["codomain_size"], obj["arity"], tuple(values))
+        return FunctionTable(
+            obj["domain_size"], obj["codomain_size"], obj["arity"], tuple(values)
+        )
     except ValueError as exc:
         raise TableFormatError(f"{where}: {exc}") from exc
 

@@ -165,6 +165,8 @@ class IndexPair:
         if len(parts) != 2:
             raise ValueError(f"expected two comma-separated positions, got {text!r}")
         a, b = (int(p) - 1 for p in parts)
+        if min(a, b) < 0:
+            raise ValueError(f"positions are 1-based, got {text!r}")
         if a == b:
             raise ValueError(f"positions must be distinct, got {text!r}")
         return cls(min(a, b), max(a, b))
@@ -306,16 +308,12 @@ def render_tuple(t) -> str:
     return "(" + ",".join(str(x + 1) for x in t) + ")"
 
 
-def parse_tuple(text: str, alphabet):
+def parse_tuple(text: str):
     """Parse a 1-based rendering like ``(1,1,2)`` back to internal symbols."""
-    k = _size(alphabet)
     body = text.strip().strip("()")
-    if not body:
+    if not body.strip():
         return ()
-    out = []
-    for part in body.split(","):
-        x = int(part) - 1
-        if not 0 <= x < k:
-            raise ValueError(f"symbol {part.strip()} out of 1..{k}")
-        out.append(x)
-    return tuple(out)
+    out = tuple(int(part) - 1 for part in body.split(","))
+    if min(out) < 0:
+        raise ValueError(f"symbols are 1-based, got {text!r}")
+    return out

@@ -33,7 +33,7 @@ from uimlab.decomp import (
     supp_decompose,
 )
 from uimlab.construct import sporadic_partial_function
-from uimlab.ftable import FunctionTable, PartialFunctionTable, restrict_to_repeats
+from uimlab.ftable import FunctionTable, restrict_to_repeats
 from uimlab.symmetry import is_2_set_transitive
 from uimlab.tuples import IndexPair, Permutation, apply_index_map, decode, encode
 
@@ -66,7 +66,7 @@ def test_has_uim_rejects_a_partial_table_undefined_at_a_repeat_tuple():
     vals = list(MAJ3.values)
     vals[encode((1, 1, 0), 2)] = None
     with pytest.raises(ValueError, match="undefined at a repeat tuple.*minor for {1,2}"):
-        has_uim(PartialFunctionTable(2, 2, 3, vals))
+        has_uim(FunctionTable(2, 2, 3, vals))
 
 
 @pytest.mark.parametrize("case", [(3, 2), (4, 3), (4, 2)], ids=["k3m2", "k4m3", "k4m2"])
@@ -398,7 +398,7 @@ def test_prop_52_suite_rejects_a_minor_outside_the_orbit(monkeypatch):
     def planted(k, m, alpha, beta):
         vals = list(sporadic_partial(k, m, alpha, beta).values)
         vals[encode((1,) * (m + 1), k)] = alpha
-        return PartialFunctionTable(k, max(alpha, beta) + 1, m + 1, vals)
+        return FunctionTable(k, max(alpha, beta) + 1, m + 1, vals)
 
     monkeypatch.setattr(construct, "sporadic_partial_function", planted)
     report = verify_suite("prop-52", cases=((3, 2),))

@@ -35,6 +35,21 @@ def test_ofo_tuple_form(capsys):
     assert capsys.readouterr().out.strip() == "(1,2)"
 
 
+def test_ofo_empty_tuple(capsys):
+    assert cli.main(["ofo", "()"]) == 0
+    assert capsys.readouterr().out == "()\n"
+
+
+def test_ofo_rejects_symbol_zero(capsys):
+    assert cli.main(["ofo", "(0,1)"]) == 2
+    assert "symbols are 1-based" in capsys.readouterr().err
+
+
+def test_minors_rejects_position_zero(and3_file, capsys):
+    assert cli.main(["minors", and3_file, "--pair", "0,2"]) == 2
+    assert "positions are 1-based" in capsys.readouterr().err
+
+
 def test_minors_all_pairs(and3_file, capsys):
     assert cli.main(["minors", and3_file]) == 0
     out = capsys.readouterr().out
@@ -114,10 +129,11 @@ def test_classify_json_is_pinned(tmp_path, capsys, table, expected):
     assert capsys.readouterr().out == expected
 
 
-def test_classify_rejects_partial(tmp_path):
+def test_classify_rejects_partial(tmp_path, capsys):
     path = tmp_path / "p.json"
     save_table(sporadic_partial_function(3, 2), path)
     assert cli.main(["classify", str(path)]) == 2
+    assert "classify expects a total table" in capsys.readouterr().err
 
 
 def test_construct_prop4_roundtrip(tmp_path):

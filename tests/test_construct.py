@@ -21,7 +21,6 @@ from uimlab.construct import (
 from uimlab.decomp import SuppTable, compose_supp, supp_decompose
 from uimlab.ftable import (
     FunctionTable,
-    PartialFunctionTable,
     are_equivalent_same_arity,
     identification_minor,
     restrict_to_repeats,
@@ -129,7 +128,6 @@ def test_build_rejects_invalid_spec():
 
 def test_partial_build_domain_is_exactly_the_repeat_tuples():
     pf = sporadic_partial_function(4, 2)
-    assert isinstance(pf, PartialFunctionTable)
     for t, v in zip(all_tuples(4, 3), pf.values):
         assert (v is not None) == has_repeat(t)
 
@@ -245,6 +243,15 @@ def test_spec_json_round_trip(tmp_path):
     loaded = load_spec(path)
     assert spec_to_json_obj(loaded) == spec_to_json_obj(spec)
     assert build(loaded).values == build(spec).values
+
+
+def test_validate_rejects_undefined_minor_entry():
+    spec = sporadic_spec(3)
+    pair = IndexPair(0, 1)
+    vals = list(spec.minors[pair].values)
+    vals[-1] = None
+    spec.minors[pair] = FunctionTable(3, 2, 3, vals)
+    assert validate(spec) == ["minor for {1,2} has an undefined entry"]
 
 
 def test_spec_json_round_trip_partial():

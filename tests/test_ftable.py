@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from uimlab.ftable import (
     FunctionTable,
-    PartialFunctionTable,
     TableFormatError,
     are_equivalent,
     are_equivalent_same_arity,
@@ -21,7 +20,7 @@ from uimlab.ftable import (
     table_from_json_obj,
     table_to_json_obj,
 )
-from uimlab.tuples import IndexPair, all_tuples, has_repeat
+from uimlab.tuples import IndexPair, Permutation, all_tuples, has_repeat
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 AND3 = FunctionTable(2, 2, 3, (0, 0, 0, 0, 0, 0, 1, 1))  # first two args only
@@ -44,6 +43,24 @@ def test_table_validation():
 def test_table_call():
     assert MAJ3((0, 1, 1)) == 1
     assert MAJ3((1, 0, 0)) == 0
+
+
+def test_table_holds_none_at_undefined_inputs():
+    pf = FunctionTable(2, 2, 2, (0, None, None, 1))
+    assert pf((0, 0)) == 0 and pf((1, 1)) == 1
+    with pytest.raises(ValueError, match=r"table is undefined at \(1,2\)"):
+        pf((0, 1))
+
+
+@pytest.mark.parametrize("bad", [2, "x"])
+def test_table_with_none_still_rejects_bad_values(bad):
+    with pytest.raises(ValueError, match="out of range"):
+        FunctionTable(2, 2, 2, (0, None, bad, 1))
+
+
+def test_minor_by_of_partial_table_is_partial():
+    pf = FunctionTable(2, 2, 2, (0, None, 1, 1))
+    assert pf.minor_by(Permutation((1, 0))).values == (0, 1, None, 1)
 
 
 def test_from_callable():
@@ -79,7 +96,7 @@ def test_minor_of_underdefined_partial_rejected():
     # undefined on a repeat tuple the minor needs
     vals = [None] * 9
     vals[0] = 1  # only (0,0) defined
-    pf = PartialFunctionTable(3, 2, 2, tuple(vals))
+    pf = FunctionTable(3, 2, 2, tuple(vals))
     with pytest.raises(ValueError):
         identification_minor(pf, IndexPair(0, 1))
 
@@ -154,14 +171,11 @@ def test_restrict_to_repeats_small():
     f = FunctionTable(2, 2, 2, (1, 0, 0, 1))
     pf = restrict_to_repeats(f)
     assert pf.values == (1, None, None, 1)
-    assert pf.is_defined((0, 0)) and not pf.is_defined((0, 1))
-    assert pf.defined_count == 2
 
 
 def test_restrict_to_repeats_covers_everything_above_alphabet():
-    pf = restrict_to_repeats(MAJ3)  # arity 3 over 2 symbols: no repeat-free tuples
-    assert pf.defined_count == 8
-    assert pf.values == MAJ3.values
+    # arity 3 over 2 symbols: no repeat-free tuples
+    assert restrict_to_repeats(MAJ3) == MAJ3
 
 
 def test_binary_minor_reads_only_the_diagonal():
@@ -244,6 +258,19 @@ def test_json_partial_round_trip(tmp_path):
     save_table(pf, path)
     assert load_table(path) == pf
     assert b"null" in path.read_bytes()
+
+
+def test_json_null_loads_as_function_table(tmp_path):
+    obj = {"domain_size": 2, "codomain_size": 2, "arity": 2, "values": [0, None, None, 1]}
+    pf = table_from_json_obj(obj)
+    assert type(pf) is FunctionTable
+    assert pf.values == (0, None, None, 1)
+    path = tmp_path / "p.json"
+    save_table(pf, path)
+    first = path.read_bytes()
+    assert first == canonical_dumps(obj).encode()
+    save_table(load_table(path), path)
+    assert path.read_bytes() == first
 
 
 def test_canonical_dumps_is_stable():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import brute
 from uimlab.analysis import invariance_group
 from uimlab.decomp import SuppTable, compose_supp
-from uimlab.ftable import FunctionTable, PartialFunctionTable, restrict_to_repeats
+from uimlab.ftable import FunctionTable, restrict_to_repeats
 from uimlab.symmetry import PermutationGroup, collapse_permutation, is_2_set_transitive
 from uimlab.tuples import IndexPair, Permutation, collapse_map
 
@@ -55,14 +55,14 @@ def test_invariance_group_of_unary_table_is_trivial():
 def test_invariance_group_of_partial_table():
     # defined on the diagonal only; any argument swap preserves it
     vals = tuple(0 if i in (0, 4, 8) else None for i in range(9))
-    pf = PartialFunctionTable(3, 2, 2, vals)
+    pf = FunctionTable(3, 2, 2, vals)
     assert invariance_group(pf) == brute.invariance_group(pf)
     assert invariance_group(pf).order == 2
 
 
 def test_invariance_group_checks_domain():
     # defined at (0,1) but not (1,0): the swap moves the domain
-    pf = PartialFunctionTable(2, 2, 2, (None, 0, None, None))
+    pf = FunctionTable(2, 2, 2, (None, 0, None, None))
     assert invariance_group(pf) == brute.invariance_group(pf)
     assert invariance_group(pf).order == 1
 

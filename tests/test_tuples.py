@@ -251,6 +251,11 @@ def test_index_pair_parse_render():
         IndexPair.parse("1")
 
 
+def test_index_pair_parse_rejects_position_below_one():
+    with pytest.raises(ValueError, match="positions are 1-based, got '0,2'"):
+        IndexPair.parse("0,2")
+
+
 def test_all_pairs_lexicographic():
     pairs = [(p.lo, p.hi) for p in IndexPair.all_pairs(4)]
     assert pairs == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -258,10 +263,11 @@ def test_all_pairs_lexicographic():
 
 def test_render_parse_tuple():
     assert render_tuple((0, 0, 1, 2, 3)) == "(1,1,2,3,4)"
-    assert parse_tuple("(1,1,2,3,4)", 4) == (0, 0, 1, 2, 3)
-    assert parse_tuple("", 3) == ()
-    with pytest.raises(ValueError):
-        parse_tuple("(5)", 4)
+    assert parse_tuple("(1,1,2,3,4)") == (0, 0, 1, 2, 3)
+    assert parse_tuple("") == ()
+    assert parse_tuple("( )") == ()
+    with pytest.raises(ValueError, match="symbols are 1-based"):
+        parse_tuple("(0,1)")
 
 
 def test_tuples_doctests_pass():

@@ -25,7 +25,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import permutations, product
+from itertools import accumulate, chain, permutations, product
 from multiprocessing import get_context
 from operator import itemgetter
 
@@ -604,9 +604,11 @@ class SuiteReport:
         return asdict(self)
 
 
-def _guard_suite(name, checks):
-    """Reject a suite run whose estimated checks exceed ``SUITE_GUARD``."""
-    if checks > SUITE_GUARD:
+def _guard_suite(name, terms):
+    """Reject a suite run whose checks, the sum of ``terms``, exceed
+    ``SUITE_GUARD``.  The sum stops at the first partial sum above it, so a
+    generator of terms is never run to the end of an out-of-reach range."""
+    if any(total > SUITE_GUARD for total in accumulate(terms)):
         raise ValueError(
             f"{name}: these parameters need more checks than the suite guard "
             f"{SUITE_GUARD}; shrink them"
@@ -626,10 +628,13 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     onto first-occurrence products: checked over all short strings."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
-    _guard_suite(
-        "ofo-identities",
-        (k ** triple_total) * (triple_total + 1) * (triple_total + 2) // 2,
-    )
+    # One check per string of each loop: up to max_len, then each split of a
+    # total length s <= triple_total into two parts and into three.
+    _guard_suite("ofo-identities", chain(
+        (k**length for length in range(max_len + 1)),
+        ((s + 1) * k**s for s in range(triple_total + 1)),
+        (math.comb(s + 2, 2) * k**s for s in range(triple_total + 1)),
+    ))
     checked = 0
     for length in range(max_len + 1):
         for t in product(range(k), repeat=length):
@@ -665,14 +670,14 @@ def _suite_collapse_insertion(k=3, n=5):
     """Collapsing inserts a repeat after a first occurrence, so it never
     changes the ofo image; over every domain size up to ``k`` and arity up
     to ``n``."""
-    _guard_suite("lemma-ofodeltaI", sum(
+    _guard_suite("lemma-ofodeltaI", (
         math.comb(arity, 2) * domain_size ** (arity - 1)
-        for domain_size in range(1, k + 1)
         for arity in range(2, n + 1)
+        for domain_size in range(1, k + 1)
     ))
     checked = 0
-    for domain_size in range(1, k + 1):
-        for arity in range(2, n + 1):
+    for arity in range(2, n + 1):
+        for domain_size in range(1, k + 1):
             for pair in IndexPair.all_pairs(arity):
                 dm = collapse_map(pair, arity)
                 for t in all_tuples(domain_size, arity - 1):
@@ -685,30 +690,34 @@ def _suite_collapse_insertion(k=3, n=5):
     return checked, None
 
 
-def _suite_ofo_factor_minors(k=2, b=2, arities=(3, 4)):
+def _suite_ofo_factor_minors(k=2, b=2, n=4):
     """Every identification minor of an ofo-determined table is the same
-    table one arity down: exact equality, over every factor table."""
+    table one arity down: exact equality, over every factor table of every
+    arity from 3 to ``n``."""
     # A factor table has a value for each repeat-free key of length 1..min(n, k).
-    # Beyond the guard's bit length, b ** keys exceeds the guard for any b >= 2.
-    key_counts = [sum(math.perm(k, i) for i in range(1, min(n, k) + 1)) for n in arities]
-    _guard_suite("prop-ofominor", sum(
-        math.comb(n, 2) * b ** min(keys, SUITE_GUARD.bit_length())
-        for n, keys in zip(arities, key_counts)
+    # At the guard's bit length or more keys, b ** keys exceeds the guard for
+    # any b >= 2, so keys are counted only that far.
+    cap = SUITE_GUARD.bit_length()
+    _guard_suite("prop-ofominor", (
+        math.comb(arity, 2)
+        * b ** min(sum(math.perm(k, i) for i in range(1, min(arity, k, cap) + 1)), cap)
+        for arity in range(3, n + 1)
     ))
+    _classifier(k, b, n)  # reach of the largest case, decided first
     checked = 0
-    for n in arities:
-        max_len = min(n, k)
+    for arity in range(3, n + 1):
+        ctx = _classifier(k, b, arity)
+        max_len = min(arity, k)
         keys = decomp._ofo_domain(k, max_len)
         for assignment in product(range(b), repeat=len(keys)):
             f_star = decomp.OfoTable.from_values(k, b, max_len, assignment)
-            f = decomp.compose_ofo(f_star, n)
-            expected = decomp.compose_ofo(f_star, n - 1)
-            for pair in IndexPair.all_pairs(n):
+            values = decomp.compose_ofo(f_star, arity).values
+            expected = decomp.compose_ofo(f_star, arity - 1).values
+            for pair, minor in zip(ctx.pairs, ctx.minors):
                 checked += 1
-                minor = ftable.identification_minor(f, pair)
-                if minor.values != expected.values:
+                if minor(values) != expected:
                     return checked, (
-                        f"n={n}, pair={pair.render()}, factor values={assignment}"
+                        f"n={arity}, pair={pair.render()}, factor values={assignment}"
                     )
     return checked, None
 
@@ -716,7 +725,7 @@ def _suite_ofo_factor_minors(k=2, b=2, arities=(3, 4)):
 def _suite_collapse_permutation(n=6):
     """The induced permutation on collapsed positions satisfies both of its
     defining identities, for every (permutation, pair) up to arity ``n``."""
-    _guard_suite("lemma-hatsigma", sum(
+    _guard_suite("lemma-hatsigma", (
         math.factorial(arity) * math.comb(arity, 2) for arity in range(2, n + 1)
     ))
     checked = 0
@@ -777,78 +786,87 @@ def _suite_support_equivalences(k=2, b=2, n=4):
     return checked, None
 
 
-def _suite_sporadic_total(ks=(2, 3, 4), alpha=1, beta=0):
+def _suite_sporadic_total(k=4, alpha=1, beta=0):
     """The total sporadic family: value alpha exactly on the marked tuples,
     unique identification minor, no equivalence to an ofo-determined table,
-    and (for domain size > 2) trivial invariance group."""
+    and (for domain size > 2) trivial invariance group; for every domain
+    size from 2 to ``k``."""
+    b = max(alpha, beta) + 1
+    _classifier(k, b, k + 1)  # reach of the largest case, decided first
     checked = 0
-    for k in ks:
-        ctx = _classifier(k, max(alpha, beta) + 1, k + 1)
-        f = construct.sporadic_function(k, alpha, beta)
-        marked = {construct.marked_tuple(k, p) for p in IndexPair.all_pairs(k + 1)}
-        for t, v in zip(all_tuples(k, k + 1), f.values):
+    for size in range(2, k + 1):
+        ctx = _classifier(size, b, size + 1)
+        f = construct.sporadic_function(size, alpha, beta)
+        marked = {construct.marked_tuple(size, p) for p in IndexPair.all_pairs(size + 1)}
+        for t, v in zip(all_tuples(size, size + 1), f.values):
             checked += 1
             want = alpha if t in marked else beta
             if v != want:
-                return checked, f"k={k}: wrong value at {render_tuple(t)}"
+                return checked, f"k={size}: wrong value at {render_tuple(t)}"
         checked += 1
         if not ctx.has_uim(f.values):
-            return checked, f"k={k}: identification minors are not all equivalent"
+            return checked, f"k={size}: identification minors are not all equivalent"
         checked += 1
         if ctx.equiv_ofo_determined(f.values):
-            return checked, f"k={k}: unexpectedly equivalent to an ofo-determined table"
-        if k >= 3:
+            return checked, f"k={size}: unexpectedly equivalent to an ofo-determined table"
+        if size >= 3:
             checked += 1
             if ctx.invariance_summary(f.values)[0] != 1:
-                return checked, f"k={k}: invariance group is not trivial"
+                return checked, f"k={size}: invariance group is not trivial"
     return checked, None
 
 
-def _suite_sporadic_partial(cases=((3, 2), (4, 3), (4, 2)), alpha=1, beta=0):
+def _suite_sporadic_partial(k=4, m=3, alpha=1, beta=0):
     """The partial sporadic family on repeat tuples: every identification
     minor equivalent to the ofo-determined indicator, no equivalence to a
     partial ofo-determined table, and no 2-set-transitivity once the base
-    arity reaches 3."""
+    arity reaches 3; for every domain size k' <= ``k`` and base arity
+    2 <= m' <= min(``m``, k' - 1).  Base arity k' is the total family."""
+    b = max(alpha, beta) + 1
+    _classifier(k, b, min(m, k - 1) + 1)  # reach of the largest case, decided first
     checked = 0
-    for k, m in cases:
-        b = max(alpha, beta) + 1
-        ctx = _classifier(k, b, m + 1)
-        pf = construct.sporadic_partial_function(k, m, alpha, beta)
-        keys = decomp._ofo_domain(k, m)
-        target_star = decomp.OfoTable(
-            k, b, m,
-            {key: (alpha if key == tuple(range(m)) else beta) for key in keys},
-        )
-        expected = decomp.compose_ofo(target_star, m).values
-        orbit = {perm(expected) for perm in ctx.sub_perms}
-        for pair, minor in zip(ctx.pairs, ctx.minors):
-            checked += 1
-            if minor(pf.values) not in orbit:
-                return checked, f"k={k}, m={m}: minor for {pair.render()} is off"
-        checked += 1
-        if ctx.equiv_ofo_determined(pf.values):
-            return checked, (
-                f"k={k}, m={m}: unexpectedly equivalent to a partial "
-                f"ofo-determined table"
+    for size in range(2, k + 1):
+        for base in range(2, min(m, size - 1) + 1):
+            ctx = _classifier(size, b, base + 1)
+            pf = construct.sporadic_partial_function(size, base, alpha, beta)
+            keys = decomp._ofo_domain(size, base)
+            target_star = decomp.OfoTable(
+                size, b, base,
+                {key: (alpha if key == tuple(range(base)) else beta) for key in keys},
             )
-        if m >= 3:
+            expected = decomp.compose_ofo(target_star, base).values
+            orbit = {perm(expected) for perm in ctx.sub_perms}
+            for pair, minor in zip(ctx.pairs, ctx.minors):
+                checked += 1
+                if minor(pf.values) not in orbit:
+                    return checked, f"k={size}, m={base}: minor for {pair.render()} is off"
             checked += 1
-            if ctx.two_set_transitive(pf.values):
-                return checked, f"k={k}, m={m}: restriction is 2-set-transitive"
+            if ctx.equiv_ofo_determined(pf.values):
+                return checked, (
+                    f"k={size}, m={base}: unexpectedly equivalent to a partial "
+                    f"ofo-determined table"
+                )
+            if base >= 3:
+                checked += 1
+                if ctx.two_set_transitive(pf.values):
+                    return checked, f"k={size}, m={base}: restriction is 2-set-transitive"
     return checked, None
 
 
-def _suite_two_set_transitive_uim(k=2, b=2, arities=(3, 4)):
-    """Every 2-set-transitive table has a unique identification minor."""
+def _suite_two_set_transitive_uim(k=2, b=2, n=4):
+    """Every 2-set-transitive table has a unique identification minor; over
+    every arity from 3 to ``n`` (at arity 2 the single pair makes every table
+    2-set-transitive)."""
+    _space_size(k, b, n)  # reach of the largest case, decided first
+    _classifier(k, b, n)
     checked = 0
-    for n in arities:
-        tables = _whole_space(k, b, n)
-        ctx = _classifier(k, b, n)
-        for index, vals in tables:
+    for arity in range(3, n + 1):
+        ctx = _classifier(k, b, arity)
+        for index, vals in _whole_space(k, b, arity):
             if ctx.two_set_transitive(vals):
                 checked += 1
                 if not ctx.has_uim(vals):
-                    return checked, f"n={n}, table {index}"
+                    return checked, f"n={arity}, table {index}"
     return checked, None
 
 
@@ -856,6 +874,13 @@ def _suite_renaming_invariance(k=2, b=3, n=3):
     """Classification is unchanged when the output values are renamed or the
     domain symbols are renamed in every argument, over a whole table space:
     exhaustive search classifies one table per output renaming."""
+    # Each table is checked once per renaming other than the identity; b! or
+    # k! is not formed beyond the guard's bit length, where it exceeds it.
+    cap = SUITE_GUARD.bit_length()
+    _guard_suite("renaming-invariance", [
+        _space_size(k, b, n)
+        * (math.factorial(min(b, cap)) - 1 + math.factorial(min(k, cap)) - 1)
+    ])
     tables = _whole_space(k, b, n)
     ctx = _classifier(k, b, n)
     renamings = list(permutations(range(b)))[1:]

@@ -5,10 +5,9 @@ Subcommands: ``minors``, ``check``, ``classify``, ``ofo``, ``construct prop4``,
 pass, 1 on a verification failure / counterexample, 2 on usage or format
 errors.
 
-``verify`` passes each integer flag to the suite parameter of the same name,
-read off the suite's signature; ``--n``, ``--k`` and ``--k --m`` also give the
-one-entry tuples ``arities``, ``ks`` and ``cases``.  A flag the chosen suite
-does not read is a usage error.
+``verify`` has one integer flag per suite parameter, read off the suites'
+signatures, and passes each given flag to the parameter of the same name; a
+flag the chosen suite does not take is a usage error.
 
 Conventions: files, ``--json`` output, and symbol-valued flags (``--alpha``,
 ``--beta``) use 0-based symbols; human-readable output renders tuples,
@@ -129,48 +128,19 @@ def cmd_construct(args) -> int:
     return 0
 
 
-# Integer flags of ``verify``; a suite parameter of the same name takes the
-# flag's value.
-_SUITE_FLAGS = ("k", "b", "n", "m", "max_len", "triple_total", "alpha", "beta")
-
-# Suite parameters that are tuples: the flags each reads and how it is built.
-_TUPLE_PARAMS = {
-    "arities": (("n",), lambda n: (n,)),
-    "ks": (("k",), lambda k: (k,)),
-    "cases": (("k", "m"), lambda k, m: ((k, m),)),
-}
+def _suite_flags():
+    """Every suite parameter; ``verify`` takes each as an integer flag."""
+    return sorted({name for suite in analysis.suite_names()
+                   for name in analysis.suite_parameters(suite)})
 
 
 def _flag(name) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _reads(name):
-    """The flags suite parameter ``name`` reads, and how it is built from them."""
-    return _TUPLE_PARAMS.get(name, ((name,), lambda v: v))
-
-
 def _suite_params(args) -> dict:
-    """The chosen suite's parameters from the given flags.  A given flag
-    that no parameter of the suite reads is a usage error."""
-    given = {f: v for f in _SUITE_FLAGS if (v := getattr(args, f)) is not None}
-    accepted = analysis.suite_parameters(args.suite)
-    params, used = {}, set()
-    for name in accepted:
-        flags, make = _reads(name)
-        if all(f in given for f in flags):
-            params[name] = make(*(given[f] for f in flags))
-            used.update(flags)
-    unused = [_flag(f) for f in given if f not in used]
-    if unused:
-        takes = ", ".join(
-            f"{name} ({' with '.join(map(_flag, _reads(name)[0]))})"
-            for name in accepted
-        )
-        raise ValueError(
-            f"suite {args.suite!r} cannot use {', '.join(unused)}; it takes {takes}"
-        )
-    return params
+    """The given ``verify`` flags, each under its suite parameter's name."""
+    return {name: v for name in _suite_flags() if (v := getattr(args, name)) is not None}
 
 
 def cmd_verify(args) -> int:
@@ -272,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exhaustive verification suite")
     p.add_argument("--suite", required=True, choices=analysis.suite_names())
-    for name in _SUITE_FLAGS:
+    for name in _suite_flags():
         p.add_argument(_flag(name), dest=name, type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)

@@ -88,7 +88,7 @@ class FunctionTable:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
         _check_dims(self.domain_size, self.codomain_size, self.arity)
-        expected = self.domain_size**self.arity
+        expected = _table_size(self.domain_size, self.arity)
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} values, got {len(self.values)}")
         for v in self.values:

@@ -162,8 +162,8 @@ class IndexPair:
     def parse(cls, text: str) -> "IndexPair":
         """Parse a 1-based pair like ``2,4`` or ``{2,4}``."""
         parts = text.strip().strip("{}()").split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected two comma-separated positions, got {text!r}")
+        if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
+            raise ValueError(f"expected two 1-based positions like 2,4, got {text!r}")
         a, b = (int(p) - 1 for p in parts)
         if min(a, b) < 0:
             raise ValueError(f"positions are 1-based, got {text!r}")
@@ -313,7 +313,7 @@ def parse_tuple(text: str):
     body = text.strip().strip("()")
     if not body.strip():
         return ()
-    out = tuple(int(part) - 1 for part in body.split(","))
-    if min(out) < 0:
-        raise ValueError(f"symbols are 1-based, got {text!r}")
-    return out
+    parts = body.split(",")
+    if not all(p.strip().isdecimal() and int(p) > 0 for p in parts):
+        raise ValueError(f"symbols are 1-based integers like (1,1,2), got {text!r}")
+    return tuple(int(p) - 1 for p in parts)

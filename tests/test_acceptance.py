@@ -9,7 +9,7 @@ from itertools import product
 
 import brute
 from uimlab.analysis import TableClassifier, search, verify_suite
-from uimlab.construct import marked_tuple, sporadic_function
+from uimlab.construct import marked_tuple
 from uimlab.decomp import SuppTable, compose_supp
 from uimlab.ftable import FunctionTable
 from uimlab.tuples import IndexPair, decode, ofo
@@ -77,7 +77,7 @@ def test_03_collapse_preserves_first_occurrence():
 
 def test_04_ofo_factorizations_have_identical_minors():
     with _Budget("04 ofo-factor-minors", 60.0):
-        report = verify_suite("prop-ofominor", k=2, b=2, arities=(3, 4))
+        report = verify_suite("prop-ofominor", k=2, b=2, n=4)
         assert report.passed, report.counterexample
 
 
@@ -89,7 +89,7 @@ def test_05_collapse_permutation_identities():
 
 def test_06_two_set_transitive_implies_unique_minor():
     with _Budget("06 2st-implies-uim", 600.0):
-        report = verify_suite("uim-2st", k=2, b=2, arities=(3, 4))
+        report = verify_suite("uim-2st", k=2, b=2, n=4)
         assert report.passed, report.counterexample
         assert report.checked > 0
 
@@ -119,13 +119,13 @@ def test_07_support_class_equalities():
 
 def test_08_sporadic_total_family():
     with _Budget("08 sporadic-total", 60.0):
-        report = verify_suite("prop-42", ks=(2, 3, 4))
+        report = verify_suite("prop-42", k=4)
         assert report.passed, report.counterexample
 
 
 def test_09_sporadic_partial_family():
     with _Budget("09 sporadic-partial", 120.0):
-        report = verify_suite("prop-52", cases=((3, 2), (4, 3), (4, 2)))
+        report = verify_suite("prop-52", k=4, m=3)
         assert report.passed, report.counterexample
 
 

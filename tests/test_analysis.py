@@ -11,7 +11,6 @@ import pytest
 import brute
 from uimlab import analysis, construct, symmetry
 from uimlab.analysis import (
-    Classification,
     RestrictionSummary,
     TableClassifier,
     classify,
@@ -401,7 +400,7 @@ def test_prop_52_suite_rejects_a_minor_outside_the_orbit(monkeypatch):
         return FunctionTable(k, max(alpha, beta) + 1, m + 1, vals)
 
     monkeypatch.setattr(construct, "sporadic_partial_function", planted)
-    report = verify_suite("prop-52", cases=((3, 2),))
+    report = verify_suite("prop-52", k=3, m=2)
     assert (report.passed, report.checked) == (False, 1)
     assert report.counterexample == "k=3, m=2: minor for {1,2} is off"
 
@@ -683,11 +682,11 @@ def test_verify_suite_unknown_name():
 def test_verify_suite_small_runs():
     assert verify_suite("lemma-ofodeltaI", k=2, n=3).passed
     assert verify_suite("lemma-hatsigma", n=4).passed
-    assert verify_suite("prop-ofominor", arities=(3,)).passed
+    assert verify_suite("prop-ofominor", n=3).passed
     assert verify_suite("ofo-identities", k=2, max_len=3, triple_total=4).passed
-    assert verify_suite("prop-42", ks=(2, 3)).passed
-    assert verify_suite("prop-52", cases=((3, 2),)).passed
-    assert verify_suite("uim-2st", arities=(3,)).passed
+    assert verify_suite("prop-42", k=3).passed
+    assert verify_suite("prop-52", k=3, m=2).passed
+    assert verify_suite("uim-2st", n=3).passed
     assert verify_suite("renaming-invariance", k=3, b=2, n=2).passed
 
 
@@ -713,9 +712,48 @@ def test_suite_defaults_are_pinned():
         assert (report.passed, report.checked, report.params) == (True, checks, {})
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["ofo-identities", "lemma-ofodeltaI", "prop-ofominor", "lemma-hatsigma",
+     "renaming-invariance"],
+)
+def test_suite_guard_counts_the_checks_exactly(name, monkeypatch):
+    # a run of exactly SUITE_GUARD checks is allowed, and refused below it
+    monkeypatch.setattr(analysis, "SUITE_GUARD", DEFAULT_CHECKS[name])
+    assert verify_suite(name).checked == DEFAULT_CHECKS[name]
+    monkeypatch.setattr(analysis, "SUITE_GUARD", DEFAULT_CHECKS[name] - 1)
+    with pytest.raises(ValueError, match="suite guard"):
+        verify_suite(name)
+
+
+def _two_set_transitive_count(k, b, n):
+    return sum(brute.is_2_set_transitive_fn(FunctionTable(k, b, n, vals))
+               for vals in product(range(b), repeat=k**n))
+
+
+@pytest.mark.parametrize(
+    "name, params, checks",
+    [
+        # domain sizes 2 and 3: each value, UIM, no ofo route; trivial group at 3
+        ("prop-42", {"k": 3}, (2**3 + 2) + (3**4 + 3)),
+        # (k, m) = (3, 2) and (4, 2): each minor, then no ofo route
+        ("prop-52", {"k": 4, "m": 2}, 2 * (3 + 1)),
+        # m = k is the total family, which prop-42 checks
+        ("prop-52", {"k": 4, "m": 4}, DEFAULT_CHECKS["prop-52"]),
+        # 2**4 factor tables, each with 3 minors
+        ("prop-ofominor", {"n": 3}, 2**4 * 3),
+        ("uim-2st", {"n": 3}, _two_set_transitive_count(2, 2, 3)),
+    ],
+)
+def test_a_suite_bound_runs_every_case_up_to_it(name, params, checks):
+    report = verify_suite(name, **params)
+    assert (report.passed, report.checked, report.params) == (True, checks, params)
+
+
 def test_verify_suite_rejects_a_parameter_it_does_not_take():
-    with pytest.raises(ValueError, match="prop-ofominor.*arities"):
-        verify_suite("prop-ofominor", arity=(3,))
+    with pytest.raises(ValueError, match="'prop-ofominor' takes no parameter arity; "
+                                         "it accepts k, b, n"):
+        verify_suite("prop-ofominor", arity=3)
 
 
 def test_verify_suite_requires_large_arity_for_support_equivalences():

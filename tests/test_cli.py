@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import shutil
@@ -229,7 +230,17 @@ def test_verify_bad_params_exit(capsys):
 
 def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
     assert cli.main(["verify", "--suite", "lemma-hatsigma", "--k", "3"]) == 2
-    assert "cannot use --k" in capsys.readouterr().err
+    assert "takes no parameter k; it accepts n" in capsys.readouterr().err
+
+
+def test_every_suite_parameter_is_one_integer_flag():
+    params = set()
+    for name in analysis.suite_names():
+        for p in inspect.signature(analysis._SUITES[name]).parameters.values():
+            assert type(p.default) is int, (name, p.name)
+            params.add(p.name)
+    args = cli.build_parser().parse_args(["verify", "--suite", "uim-2st"])
+    assert set(vars(args)) - {"command", "suite", "json", "fn"} == params
 
 
 @pytest.mark.parametrize(
@@ -239,11 +250,26 @@ def test_verify_rejects_a_flag_the_suite_does_not_take(capsys):
         ["--suite", "lemma-hatsigma", "--n", "10"],
         ["--suite", "lemma-ofodeltaI", "--k", "10", "--n", "10"],
         ["--suite", "ofo-identities", "--k", "5", "--triple-total", "10"],
+        ["--suite", "lemma-hatsigma", "--n", "20000"],
+        ["--suite", "lemma-ofodeltaI", "--k", "3000", "--n", "3000"],
+        ["--suite", "prop-ofominor", "--k", "20000", "--n", "20000"],
+        ["--suite", "ofo-identities", "--max-len", "40"],
+        # 6,310,983 checks at the default k = 3
+        ["--suite", "ofo-identities", "--triple-total", "10"],
+        ["--suite", "renaming-invariance", "--k", "2", "--b", "8", "--n", "3"],
+        # one table, but 12! - 1 symbol renamings
+        ["--suite", "renaming-invariance", "--k", "12", "--b", "1", "--n", "2"],
     ],
-    ids=["prop-ofominor", "lemma-hatsigma", "lemma-ofodeltaI", "ofo-identities"],
+    ids=["prop-ofominor", "lemma-hatsigma", "lemma-ofodeltaI", "ofo-identities",
+         "lemma-hatsigma-n20000", "lemma-ofodeltaI-k3000-n3000",
+         "prop-ofominor-k20000-n20000", "ofo-identities-max-len40",
+         "ofo-identities-triple-total10", "renaming-invariance-b8",
+         "renaming-invariance-k12"],
 )
 def test_verify_rejects_work_beyond_the_suite_guard(argv, capsys):
+    started = time.perf_counter()
     assert cli.main(["verify", *argv]) == 2
+    assert time.perf_counter() - started < 1
     assert "suite guard" in capsys.readouterr().err
 
 
@@ -313,8 +339,8 @@ def test_search_remap_guard_exit(capsys):
 @pytest.mark.parametrize(
     "argv, params",
     [
-        (["--suite", "prop-52", "--k", "4", "--m", "3"], {"cases": ((4, 3),)}),
-        (["--suite", "uim-2st", "--n", "3"], {"arities": (3,)}),
+        (["--suite", "prop-52", "--k", "4", "--m", "3"], {"k": 4, "m": 3}),
+        (["--suite", "uim-2st", "--n", "3"], {"n": 3}),
         (["--suite", "ofo-identities", "--k", "2"], {"k": 2}),
         (["--suite", "renaming-invariance", "--k", "3", "--b", "2", "--n", "2"],
          {"k": 3, "b": 2, "n": 2}),
@@ -422,6 +448,17 @@ def test_a_table_out_of_reach_exits_2_at_once(argv, message, tmp_path, monkeypat
     assert cli.main(argv) == 2
     assert time.perf_counter() - started < 1
     assert message in capsys.readouterr().err
+
+
+def test_check_refuses_a_table_beyond_the_table_size_guard(tmp_path, capsys):
+    path = tmp_path / "n20000.json"
+    path.write_text(json.dumps(
+        {"domain_size": 2, "codomain_size": 2, "arity": 20000, "values": [0]}
+    ))
+    assert cli.main(["check", str(path)]) == 2
+    assert f"a table of 2**20000 entries exceeds the table size guard {2**20}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_check_refuses_a_shape_beyond_the_remap_guard(tmp_path, capsys):

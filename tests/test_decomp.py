@@ -16,11 +16,7 @@ from uimlab.decomp import (
     supp_table_from_json_obj,
     supp_table_to_json_obj,
 )
-from uimlab.ftable import (
-    FunctionTable,
-    identification_minor,
-    restrict_to_repeats,
-)
+from uimlab.ftable import FunctionTable, restrict_to_repeats
 from uimlab.tuples import IndexPair, Permutation, all_tuples
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))

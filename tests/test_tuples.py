@@ -251,6 +251,11 @@ def test_index_pair_parse_render():
         IndexPair.parse("1")
 
 
+def test_index_pair_parse_names_a_non_integer_and_the_1_based_form():
+    with pytest.raises(ValueError, match="expected two 1-based positions like 2,4, got 'a,2'"):
+        IndexPair.parse("a,2")
+
+
 def test_index_pair_parse_rejects_position_below_one():
     with pytest.raises(ValueError, match="positions are 1-based, got '0,2'"):
         IndexPair.parse("0,2")
@@ -268,6 +273,11 @@ def test_render_parse_tuple():
     assert parse_tuple("( )") == ()
     with pytest.raises(ValueError, match="symbols are 1-based"):
         parse_tuple("(0,1)")
+
+
+def test_parse_tuple_names_a_non_integer_and_the_1_based_form():
+    with pytest.raises(ValueError, match=r"1-based integers like \(1,1,2\), got '\(a\)'"):
+        parse_tuple("(a)")
 
 
 def test_tuples_doctests_pass():

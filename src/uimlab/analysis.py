@@ -166,10 +166,14 @@ class TableClassifier:
         self.pair_perm_entries = [[] for _ in self.pairs]
         for s, remap in enumerate(self.perm_remaps):
             self.pair_perm_entries[pair_index[frozenset(self.perms[s][:2])]].append((s, remap))
-        self.minors = [
-            _tuple_getter(pullback_remap(k, collapse_map(pair, n).images, n - 1))
-            for pair in self.pairs
-        ]
+        minor_maps = [pullback_remap(k, collapse_map(pair, n).images, n - 1)
+                      for pair in self.pairs]
+        self.minors = [_tuple_getter(remap) for remap in minor_maps]
+        # Table positions read minor-first: those of the minor for {0, 1} in
+        # its own order, then the rest in index order.  ``scatter`` takes a
+        # vector in that order back to table order.
+        self.g_first = minor_maps[0] + sorted(set(range(self.size)) - set(minor_maps[0]))
+        self.scatter = _tuple_getter(sorted(range(self.size), key=self.g_first.__getitem__))
         self.sub_perms = [
             _tuple_getter(pullback_remap(k, sig, n - 1))
             for sig in permutations(range(n - 1))
@@ -191,18 +195,21 @@ class TableClassifier:
             systems.setdefault(frozenset(map(tuple, mapped)), mapped)
         self.permuted_ofo_fibers = list(systems.values())
 
-    def first_failing_pair(self, vals):
-        """Index of the first pair whose minor lies outside the orbit of the
-        minor for {0, 1}, or None when the minor is unique."""
+    def orbit(self, g):
+        """Every minor that an argument permutation makes of the minor ``g``."""
+        return {perm(g) for perm in self.sub_perms}
+
+    def first_failing_pair(self, vals, orbit):
+        """Index of the first pair whose minor lies outside ``orbit``, the
+        orbit of the minor for {0, 1}, or None when the minor is unique."""
         minors = self.minors
-        orbit = {perm(minors[0](vals)) for perm in self.sub_perms}
         for p in range(1, len(minors)):
             if minors[p](vals) not in orbit:
                 return p
         return None
 
     def has_uim(self, vals) -> bool:
-        return self.first_failing_pair(vals) is None
+        return self.first_failing_pair(vals, self.orbit(self.minors[0](vals))) is None
 
     def invariant_perm_ids(self, vals, candidates):
         """Ids of the permutations leaving ``vals`` unchanged, among the
@@ -267,14 +274,15 @@ class TableClassifier:
             category=_categorize(uim, two_set, equiv_ofo),
         )
 
-    def search_category(self, values):
+    def search_category(self, values, orbit):
         """``(category, has_uim)`` of one table, as :meth:`classify_values`
-        gives them.  A table without a unique identification minor fails at
-        some pair p; it is checked there to be neither 2ST (no invariant
-        permutation sends {0, 1} onto p) nor OFO-EQ, since either would give
-        it a unique minor, and is not classified further."""
+        gives them, given the :meth:`orbit` of its minor for {0, 1}.  A table
+        without a unique identification minor fails at some pair p; it is
+        checked there to be neither 2ST (no invariant permutation sends
+        {0, 1} onto p) nor OFO-EQ, since either would give it a unique minor,
+        and is not classified further."""
         vals = tuple(values)
-        p = self.first_failing_pair(vals)
+        p = self.first_failing_pair(vals, orbit)
         if p is None:
             c = self.classify_values(vals)
             return c.category, c.has_uim
@@ -400,7 +408,7 @@ def sample_index(seed: int, j: int, total: int) -> int:
 
 def _restricted_growth(length, b, prefix=()):
     """Value vectors over ``range(b)`` that extend ``prefix`` and whose
-    values first occur in the order 0, 1, 2, ..., in table index order:
+    values first occur in the order 0, 1, 2, ..., in lexicographic order:
     one representative per orbit of output renaming."""
     used = max(prefix, default=-1) + 1
     if used == b or len(prefix) == length:
@@ -456,35 +464,52 @@ def _search_chunk(args):
     spot-checked table's permuted copies, classified in full, classify like
     the table the main loop classified for it.
 
-    An exhaustive part is every representative extending a restricted-growth
-    prefix; each stands for ``b!/(b-r)!`` tables, its renamings onto ``r``
-    of the ``b`` values.  A sampled part is a range of sample slots.
+    Tables are taken in groups that share g, their minor for {0, 1}, and
+    g's orbit is built once per group.  An exhaustive part is every
+    restricted-growth g extending a prefix, each followed by its
+    restricted-growth completions in minor-first order (see
+    :attr:`TableClassifier.g_first`); a completion stands for
+    ``b!/(b-r)!`` tables, its renamings onto ``r`` of the ``b`` values.  A
+    sampled part is a range of sample slots, each its own group.
     """
     k, b, n, mode, seed, total, part, spot_checks = args
     ctx = _classifier(k, b, n)
     exhaustive = mode == "exhaustive"
     if exhaustive:
-        tables = _restricted_growth(ctx.size, b, part)
+        groups = (
+            (g, ((v, ctx.scatter(v)) for v in _restricted_growth(ctx.size, b, g)))
+            for g in _restricted_growth(ctx.size // k, b, part)
+        )
     else:
-        tables = (
+        samples = (
             decode(sample_index(seed, slot, total), ctx.size, b) for slot in range(*part)
         )
+        groups = ((ctx.minors[0](values), [(values, values)]) for values in samples)
     counts = Counter()
     witnesses = []
-    for values in tables:
-        category, uim = ctx.search_category(values)
-        for index, copy in spot_checks.pop(values, ()):
-            cp = ctx.classify_values(copy)
-            if (category, uim) != (cp.category, cp.has_uim):
-                raise RuntimeError(
-                    f"classification is not permutation-invariant at table {index}"
+    for g, tables in groups:
+        orbit = ctx.orbit(g)
+        checks = spot_checks.get(g, {})
+        # An exhaustive table counts for its renamings: b! of them for every
+        # completion of a g that already uses all b values.
+        if not exhaustive:
+            weight = 1
+        else:
+            weight = math.factorial(b) if max(g) == b - 1 else None
+        for key, values in tables:
+            category, uim = ctx.search_category(values, orbit)
+            for index, copy in checks.pop(key, ()):
+                cp = ctx.classify_values(copy)
+                if (category, uim) != (cp.category, cp.has_uim):
+                    raise RuntimeError(
+                        f"classification is not permutation-invariant at table {index}"
+                    )
+            counts[category] += weight or math.perm(b, max(values) + 1)
+            if category == "OTHER":
+                renamed = _renamings(values, b) if exhaustive else (values,)
+                witnesses.extend(
+                    {"table_index": encode(t, b), "values": list(t)} for t in renamed
                 )
-        counts[category] += math.perm(b, max(values) + 1) if exhaustive else 1
-        if category == "OTHER":
-            renamed = _renamings(values, b) if exhaustive else (values,)
-            witnesses.extend(
-                {"table_index": encode(t, b), "values": list(t)} for t in renamed
-            )
     return dict(counts), witnesses
 
 
@@ -509,8 +534,11 @@ def search(domain_size: int, codomain_size: int, arity: int,
 
     Exhaustive mode covers every table index below b**(k**n) (guarded at
     ``EXHAUSTIVE_GUARD``) but classifies one table per orbit of output
-    renaming: the table whose values first occur in the order 0, 1, 2, ...
-    Every category is invariant under renaming, so a representative using
+    renaming: the table whose values, read minor-first (the entries of g,
+    its minor for {0, 1}, then the rest in index order), first occur in the
+    order 0, 1, 2, ...  It walks each restricted-growth g in turn and then
+    g's completions, so g's orbit is built once for all of them.  Every
+    category is invariant under renaming, so a representative using
     r values counts for its b!/(b-r)! renamings, and an OTHER representative
     adds each renaming to the witnesses under its own ``table_index``;
     ``classified`` counts the tables covered.  Sampled mode draws
@@ -533,9 +561,11 @@ def search(domain_size: int, codomain_size: int, arity: int,
     started = time.perf_counter()
     # Built before the pool forks, so every worker inherits it.
     ctx = _classifier(k, b, n)
+    g_size = ctx.size // k  # entries of g, the minor for {0, 1}
     # 100 seeded (slot, permutation) pairs for the invariance spot check.
-    # Each drawn table's permuted copy is keyed by the table the main loop
-    # classifies for it, its representative in exhaustive mode.
+    # Each drawn table's permuted copy is keyed by the vector the main loop
+    # reaches it as, grouped by that vector's minor for {0, 1}: in exhaustive
+    # mode the table's representative in minor-first order.
     rng = random.Random(f"{0 if seed is None else seed}:invariance-spot-check")
     spot_checks = {}
     for _ in range(100):
@@ -543,12 +573,18 @@ def search(domain_size: int, codomain_size: int, arity: int,
         remap = ctx.perm_remaps[rng.randrange(math.factorial(n))]
         index = slot if mode == "exhaustive" else sample_index(seed, slot, total)
         values = decode(index, ctx.size, b)
-        key = _representative(values) if mode == "exhaustive" else values
-        spot_checks.setdefault(key, []).append((index, tuple(values[j] for j in remap)))
+        if mode == "exhaustive":
+            key = _representative(values[i] for i in ctx.g_first)
+            g = key[:g_size]
+        else:
+            key, g = values, ctx.minors[0](values)
+        spot_checks.setdefault(g, {}).setdefault(key, []).append(
+            (index, tuple(values[j] for j in remap)))
     if mode == "exhaustive":
-        # One part per restricted-growth prefix; for b >= 2 the 2**(length-1)
-        # prefixes over {0, 1} alone give every worker at least four parts.
-        length = min(ctx.size, (4 * threads).bit_length()) if threads > 1 else 0
+        # One part per restricted-growth prefix of g; for b >= 2 the
+        # 2**(length-1) prefixes over {0, 1} alone give every worker at least
+        # four parts, unless g itself is shorter.
+        length = min(g_size, (4 * threads).bit_length()) if threads > 1 else 0
         parts = list(_restricted_growth(length, b))
     else:
         chunk = max(1, math.ceil(slots / threads))
@@ -629,7 +665,10 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     # One check per string of each loop: up to max_len, then each split of a
-    # total length s <= triple_total into two parts and into three.
+    # total length s <= triple_total into two parts and into three.  Every
+    # term is at least 1, so the loops' lengths bound the checks from below
+    # and refuse a long range before any term is summed.
+    _guard_suite("ofo-identities", [max_len + 1 + 2 * (triple_total + 1)])
     _guard_suite("ofo-identities", chain(
         (k**length for length in range(max_len + 1)),
         ((s + 1) * k**s for s in range(triple_total + 1)),
@@ -835,7 +874,7 @@ def _suite_sporadic_partial(k=4, m=3, alpha=1, beta=0):
                 {key: (alpha if key == tuple(range(base)) else beta) for key in keys},
             )
             expected = decomp.compose_ofo(target_star, base).values
-            orbit = {perm(expected) for perm in ctx.sub_perms}
+            orbit = ctx.orbit(expected)
             for pair, minor in zip(ctx.pairs, ctx.minors):
                 checked += 1
                 if minor(pf.values) not in orbit:

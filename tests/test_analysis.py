@@ -207,7 +207,8 @@ def test_search_category_agrees_with_classify_values(shape):
     seen = set()
     for vals in _staged_tables(*shape):
         c = ctx.classify_values(vals)
-        assert ctx.search_category(vals) == (c.category, c.has_uim)
+        assert ctx.search_category(vals, ctx.orbit(ctx.minors[0](vals))) == (
+            c.category, c.has_uim)
         seen.add(c.category)
     if shape[2] == 2:
         # a single pair: every table is 2ST and takes the full path
@@ -365,8 +366,8 @@ def test_search_rejects_a_planted_inconsistency(monkeypatch, target, two_set, eq
     assert ctx.equiv_ofo_determined(target) == equiv_ofo
     first_failing_pair = TableClassifier.first_failing_pair
 
-    def planted(self, vals):
-        return 1 if vals == target else first_failing_pair(self, vals)
+    def planted(self, vals, orbit):
+        return 1 if vals == target else first_failing_pair(self, vals, orbit)
 
     monkeypatch.setattr(TableClassifier, "first_failing_pair", planted)
     with pytest.raises(RuntimeError, match="classification inconsistency"):
@@ -380,8 +381,8 @@ def test_uim_2st_suite_rejects_a_planted_fault(monkeypatch):
     assert TableClassifier(2, 2, 4).two_set_transitive(target)
     first_failing_pair = TableClassifier.first_failing_pair
 
-    def planted(self, vals):
-        return 1 if vals == target else first_failing_pair(self, vals)
+    def planted(self, vals, orbit):
+        return 1 if vals == target else first_failing_pair(self, vals, orbit)
 
     monkeypatch.setattr(TableClassifier, "first_failing_pair", planted)
     report = verify_suite("uim-2st")
@@ -451,9 +452,9 @@ def test_search_spot_checks_100_permuted_tables(monkeypatch):
     search_category = TableClassifier.search_category
     classify_values = TableClassifier.classify_values
 
-    def counting_main_loop(self, values):
+    def counting_main_loop(self, values, orbit):
         main_loop.append(values)
-        return search_category(self, values)
+        return search_category(self, values, orbit)
 
     def counting_full(self, values):
         full.append(values)
@@ -469,11 +470,28 @@ def test_search_spot_checks_100_permuted_tables(monkeypatch):
     assert len(full) == 20 + 100
 
 
+def test_search_builds_each_orbit_of_the_first_minor_once(monkeypatch):
+    orbits = []
+    orbit = TableClassifier.orbit
+
+    def counting_orbit(self, g):
+        orbits.append(g)
+        return orbit(self, g)
+
+    monkeypatch.setattr(TableClassifier, "orbit", counting_orbit)
+    search(2, 2, 3, threads=1)
+    # one orbit per restricted-growth minor for {0, 1} (a 0 followed by any 3
+    # binary values), and one per full classification: the 20 tables with a
+    # unique identification minor and the 100 spot-checked copies
+    assert len(orbits) == 2**3 + 20 + 100
+    assert set(analysis._restricted_growth(4, 2)) <= set(orbits)
+
+
 class _FullClassifier(TableClassifier):
     """Answers the search's main loop from :meth:`classify_values`, so a
     fault planted there reaches the main loop and the spot check alike."""
 
-    def search_category(self, values):
+    def search_category(self, values, orbit):
         c = self.classify_values(values)
         return c.category, c.has_uim
 
@@ -534,10 +552,12 @@ def _search_by_index(k, b, n):
 
 
 @pytest.mark.parametrize(
-    "shape", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (1, 3, 3)],
-    ids=["k2b2n3", "k2b3n3", "k3b2n2", "k1b3n3"],
+    "shape", [(2, 2, 3), (2, 3, 3), (3, 2, 2), (1, 3, 3), (3, 3, 2)],
+    ids=["k2b2n3", "k2b3n3", "k3b2n2", "k1b3n3", "k3b3n2"],
 )
 def test_search_counts_match_classifying_every_table(shape):
+    # at n <= k the repeat-free entries after the minor for {0, 1} lie in no
+    # minor at all
     report = search(*shape, threads=1)
     counts, witnesses = _search_by_index(*shape)
     assert report.counts == counts
@@ -576,13 +596,18 @@ def test_search_expands_other_representatives_to_every_renaming(monkeypatch, thr
          "a820f32ded774236da499ae9bd9c559f1cdce7d195d7806e7e748d8ed46c61a7"),
         ((2, 3, 3), {},
          "aac14372d5b49118db67eabc2edc0e165a70e13cc9ee862434f2e32acbd9c6d5"),
+        ((2, 5, 3), {},
+         "8e716ffd55e2993d149bc1b943116fbbb71759b6ad78dea4c6b0057c63baa020"),
+        ((2, 2, 4), {},
+         "9b5f0c7bf602583bf3fc98b845811152b1e567cfbabdfdc7aa78c69f99d7f35e"),
         ((2, 2, 5), {"mode": "sampled", "seed": 3, "samples": 25},
          "5acdd7838fb4dbc7923264a2db52cd5736c997d0678bf93cd94400864afc35f5"),
         ((2, 2, 6), {"mode": "sampled", "seed": 0, "samples": 150},
          "bb4da78ebde7e16238e47ac826290c9aa8bea5468b44dd51240ec5ebe04f77ad"),
     ],
     ids=["k2b2n3-exhaustive", "k3b3n2-exhaustive", "k2b4n3-exhaustive",
-         "k2b3n3-exhaustive", "k2b2n5-sampled", "k2b2n6-sampled"],
+         "k2b3n3-exhaustive", "k2b5n3-exhaustive", "k2b2n4-exhaustive",
+         "k2b2n5-sampled", "k2b2n6-sampled"],
 )
 def test_search_fingerprints_are_pinned(args, kwargs, fingerprint):
     assert search(*args, **kwargs).fingerprint() == fingerprint
@@ -615,7 +640,9 @@ def test_search_reports_are_reproducible():
 
 
 def test_search_parallel_matches_serial():
-    for shape, threads in (((2, 2, 3), 4), ((2, 3, 3), 2)):
+    # at (2, 3, 2) the minor for {0, 1} has only 2 entries, fewer than the
+    # prefix four workers would otherwise split on
+    for shape, threads in (((2, 2, 3), 4), ((2, 3, 3), 2), ((2, 2, 4), 2), ((2, 3, 2), 4)):
         serial = search(*shape, mode="exhaustive", threads=1)
         parallel = search(*shape, mode="exhaustive", threads=threads)
         assert serial.fingerprint() == parallel.fingerprint()

@@ -254,6 +254,8 @@ def test_every_suite_parameter_is_one_integer_flag():
         ["--suite", "lemma-ofodeltaI", "--k", "3000", "--n", "3000"],
         ["--suite", "prop-ofominor", "--k", "20000", "--n", "20000"],
         ["--suite", "ofo-identities", "--max-len", "40"],
+        # unit terms at k = 1: the range is refused without being summed
+        ["--suite", "ofo-identities", "--k", "1", "--max-len", str(10**12)],
         # 6,310,983 checks at the default k = 3
         ["--suite", "ofo-identities", "--triple-total", "10"],
         ["--suite", "renaming-invariance", "--k", "2", "--b", "8", "--n", "3"],
@@ -263,6 +265,7 @@ def test_every_suite_parameter_is_one_integer_flag():
     ids=["prop-ofominor", "lemma-hatsigma", "lemma-ofodeltaI", "ofo-identities",
          "lemma-hatsigma-n20000", "lemma-ofodeltaI-k3000-n3000",
          "prop-ofominor-k20000-n20000", "ofo-identities-max-len40",
+         "ofo-identities-k1-max-len1e12",
          "ofo-identities-triple-total10", "renaming-invariance-b8",
          "renaming-invariance-k12"],
 )

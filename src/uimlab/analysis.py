@@ -125,9 +125,11 @@ class TableClassifier:
     The identification-minor and minor-permutation pull-backs are built once
     here as getters; a table has a unique identification minor exactly when
     every minor lies in the orbit of the first under argument permutations.
-    A permuted table is ofo-determined exactly when the table itself is
-    constant on every ofo fiber mapped back through the permutation, and
-    those mapped fiber systems are built once here too.
+    The ofo and supp fibers are flat lists of equality edges (first member,
+    other member).  A table is equivalent to an ofo-determined one exactly
+    when, read through a remap that gives a distinct permuted ofo system, it
+    is equal across every ofo edge.  One early-exit loop decides the three
+    fiber tests, the other two through the identity remap.
 
     The n! permutations are split by the pair p onto which each sends
     {0, 1}, 2 * (n-2)! to a pair.  A table is 2-set-transitive exactly when,
@@ -184,16 +186,17 @@ class TableClassifier:
         for i, t in enumerate(all_tuples(k, n)):
             by_ofo.setdefault(ofo(t), []).append(i)
             by_supp.setdefault(frozenset(t), []).append(i)
-        self.ofo_fibers = [v for v in by_ofo.values() if len(v) > 1]
-        self.supp_fibers = [v for v in by_supp.values() if len(v) > 1]
+        fibers = [f for f in by_ofo.values() if len(f) > 1]
+        self.ofo_edges = [(f[0], i) for f in fibers for i in f[1:]]
+        self.supp_edges = [(f[0], i) for f in by_supp.values() for i in f[1:]]
 
-        # Distinct ofo fiber systems mapped through each permutation remap, in
-        # first-seen order (identity first); at k = 2 only n of the n! differ.
+        # The first remap giving each distinct system of permuted ofo fibers,
+        # identity first; at k = 2 and n >= 3 only n of the n! differ.
         systems = {}
         for remap in self.perm_remaps:
-            mapped = [sorted(map(remap.__getitem__, fiber)) for fiber in self.ofo_fibers]
-            systems.setdefault(frozenset(map(tuple, mapped)), mapped)
-        self.permuted_ofo_fibers = list(systems.values())
+            key = frozenset(tuple(sorted(map(remap.__getitem__, f))) for f in fibers)
+            systems.setdefault(key, remap)
+        self.ofo_systems = list(systems.values())
 
     def orbit(self, g):
         """Every minor that an argument permutation makes of the minor ``g``."""
@@ -240,22 +243,24 @@ class TableClassifier:
         return sum(counts), all(counts)
 
     def ofo_determined(self, vals) -> bool:
-        return self._constant_on(vals, self.ofo_fibers)
+        return self._equal_across(vals, self.ofo_edges, self.perm_remaps[:1])
 
     def supp_determined(self, vals) -> bool:
-        return self._constant_on(vals, self.supp_fibers)
-
-    @staticmethod
-    def _constant_on(vals, fibers) -> bool:
-        for fiber in fibers:
-            first = vals[fiber[0]]
-            for i in fiber:
-                if vals[i] != first:
-                    return False
-        return True
+        return self._equal_across(vals, self.supp_edges, self.perm_remaps[:1])
 
     def equiv_ofo_determined(self, vals) -> bool:
-        return any(self._constant_on(vals, fibers) for fibers in self.permuted_ofo_fibers)
+        return self._equal_across(vals, self.ofo_edges, self.ofo_systems)
+
+    @staticmethod
+    def _equal_across(vals, edges, remaps) -> bool:
+        """Is ``vals``, read through some remap, equal across every edge?"""
+        for r in remaps:
+            for i, j in edges:
+                if vals[r[i]] != vals[r[j]]:
+                    break
+            else:
+                return True
+        return False
 
     def classify_values(self, values) -> Classification:
         vals = tuple(values)
@@ -274,14 +279,13 @@ class TableClassifier:
             category=_categorize(uim, two_set, equiv_ofo),
         )
 
-    def search_category(self, values, orbit):
-        """``(category, has_uim)`` of one table, as :meth:`classify_values`
-        gives them, given the :meth:`orbit` of its minor for {0, 1}.  A table
-        without a unique identification minor fails at some pair p; it is
-        checked there to be neither 2ST (no invariant permutation sends
-        {0, 1} onto p) nor OFO-EQ, since either would give it a unique minor,
-        and is not classified further."""
-        vals = tuple(values)
+    def search_category(self, vals, orbit):
+        """``(category, has_uim)`` of the table ``vals``, a tuple, as
+        :meth:`classify_values` gives them, given the :meth:`orbit` of its
+        minor for {0, 1}.  A table without a unique identification minor
+        fails at some pair p; it is checked there to be neither 2ST (no
+        invariant permutation sends {0, 1} onto p) nor OFO-EQ, since either
+        would give it a unique minor, and is not classified further."""
         p = self.first_failing_pair(vals, orbit)
         if p is None:
             c = self.classify_values(vals)
@@ -489,7 +493,7 @@ def _search_chunk(args):
     witnesses = []
     for g, tables in groups:
         orbit = ctx.orbit(g)
-        checks = spot_checks.get(g, {})
+        checks = spot_checks.get(g)  # emptied as its tables come up
         # An exhaustive table counts for its renamings: b! of them for every
         # completion of a g that already uses all b values.
         if not exhaustive:
@@ -498,7 +502,7 @@ def _search_chunk(args):
             weight = math.factorial(b) if max(g) == b - 1 else None
         for key, values in tables:
             category, uim = ctx.search_category(values, orbit)
-            for index, copy in checks.pop(key, ()):
+            for index, copy in checks.pop(key, ()) if checks else ():
                 cp = ctx.classify_values(copy)
                 if (category, uim) != (cp.category, cp.has_uim):
                     raise RuntimeError(

@@ -5,7 +5,7 @@ built by :func:`uimlab.analysis.invariance_group`.
 
 from dataclasses import dataclass
 
-from .tuples import IndexPair, Permutation, collapse_map
+from .tuples import IndexPair, Permutation, _collapse_images
 
 __all__ = [
     "PermutationGroup",
@@ -106,8 +106,8 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
         raise ValueError(f"pair {pair.render()} out of range for degree {n}")
     a, b = sigma.images.index(pair.lo), sigma.images.index(pair.hi)
     pre = IndexPair(min(a, b), max(a, b))
-    d_pre = collapse_map(pre, n).images
-    d_pair = collapse_map(pair, n).images
+    d_pre = _collapse_images(pre, n)
+    d_pair = _collapse_images(pair, n)
     images = [None] * (n - 1)
     for i in range(n):
         images[d_pre[i]] = d_pair[sigma.images[i]]

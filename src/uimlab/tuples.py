@@ -258,10 +258,12 @@ def collapse_map(pair: IndexPair, n: int) -> IndexMap:
         raise ValueError(f"need arity >= 2, got {n}")
     if pair.hi >= n:
         raise ValueError(f"pair {pair.render()} out of range for arity {n}")
-    images = tuple(
-        l if l < pair.hi else (pair.lo if l == pair.hi else l - 1) for l in range(n)
-    )
-    return IndexMap(n, n - 1, images)
+    return IndexMap(n, n - 1, _collapse_images(pair, n))
+
+
+def _collapse_images(pair: IndexPair, n: int) -> tuple:
+    """The images of :func:`collapse_map`, for a pair already checked."""
+    return tuple(l if l < pair.hi else (pair.lo if l == pair.hi else l - 1) for l in range(n))
 
 
 def ofo(t):
@@ -272,13 +274,7 @@ def ofo(t):
     >>> "".join(ofo("balloon"))
     'balon'
     """
-    seen = set()
-    out = []
-    for x in t:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return tuple(out)
+    return tuple(dict.fromkeys(t))
 
 
 def supp(t) -> frozenset:

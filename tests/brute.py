@@ -4,15 +4,26 @@ definitions without :class:`uimlab.analysis.TableClassifier`.
 A table has a unique identification minor when every minor is equivalent to
 the first, each equivalence found by searching permutations; its invariance
 group is S_n filtered by pulling the table back along each permutation.
-Undefined entries of a partial table compare like values, so an invariant
-permutation also carries the domain onto itself.
+A table is ofo- (supp-) determined when inputs with the same ofo word
+(support) take the same value, and equivalent to an ofo-determined table
+when one of its n! pull-backs along an argument permutation is.  Undefined
+entries of a partial table compare like values, so an invariant permutation
+also carries the domain onto itself.
 """
 
 from math import factorial
 
 from uimlab.ftable import are_equivalent_same_arity, identification_minor
 from uimlab.symmetry import PermutationGroup, is_2_set_transitive
-from uimlab.tuples import IndexPair, Permutation, pullback_remap
+from uimlab.tuples import (
+    IndexPair,
+    Permutation,
+    all_tuples,
+    apply_index_map,
+    encode,
+    ofo,
+    pullback_remap,
+)
 
 
 def has_uim(f) -> bool:
@@ -39,3 +50,27 @@ def is_totally_symmetric(f) -> bool:
 
 def is_2_set_transitive_fn(f) -> bool:
     return is_2_set_transitive(invariance_group(f))
+
+
+def _determined_by(key, k, n, values) -> bool:
+    """Do every two inputs with the same ``key`` take the same value?"""
+    first = {}
+    return all(first.setdefault(key(t), v) == v for t, v in zip(all_tuples(k, n), values))
+
+
+def ofo_determined(f) -> bool:
+    return _determined_by(ofo, f.domain_size, f.arity, f.values)
+
+
+def supp_determined(f) -> bool:
+    return _determined_by(frozenset, f.domain_size, f.arity, f.values)
+
+
+def equiv_ofo_determined(f) -> bool:
+    k, n = f.domain_size, f.arity
+    return any(
+        _determined_by(ofo, k, n, (
+            f.values[encode(apply_index_map(t, sigma), k)] for t in all_tuples(k, n)
+        ))
+        for sigma in Permutation.all_perms(n)
+    )

@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -34,7 +35,15 @@ from uimlab.decomp import (
 from uimlab.construct import sporadic_partial_function
 from uimlab.ftable import FunctionTable, restrict_to_repeats
 from uimlab.symmetry import is_2_set_transitive
-from uimlab.tuples import IndexPair, Permutation, apply_index_map, decode, encode
+from uimlab.tuples import (
+    IndexPair,
+    Permutation,
+    all_tuples,
+    apply_index_map,
+    decode,
+    encode,
+    ofo,
+)
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 AND3 = FunctionTable(2, 2, 3, (0, 0, 0, 0, 0, 0, 1, 1))
@@ -179,6 +188,77 @@ def test_restriction_record_agrees_with_the_direct_operations(shape):
         seen_equiv_ofo.add(r.equiv_ofo_determined)
     # at arity 2 the repeat tuples are the constant ones, each its own ofo fiber
     assert seen_equiv_ofo == ({True} if shape[2] == 2 else {True, False})
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (2, 3, 3), (3, 2, 2), (3, 2, 4), (4, 2, 3), (2, 2, 6)],
+    ids=["k2b2n3", "k2b3n3", "k3b2n2", "k3b2n4", "k4b2n3", "k2b2n6"],
+)
+def test_fiber_tests_agree_with_their_definitions(shape):
+    # every table of the three small spaces; elsewhere seeded random and
+    # argument-permuted ofo-determined tables; at n <= k also each table's
+    # None-padded restriction to the repeat tuples
+    k, b, n = shape
+    if b ** (k**n) <= 3**8:
+        tables = [decode(index, k**n, b) for index in range(b ** (k**n))]
+    else:
+        tables = _agreement_tables(*shape)
+    ctx = TableClassifier(*shape)
+    seen_equiv_ofo = set()
+    for vals in tables:
+        f = FunctionTable(*shape, vals)
+        for g in (f, restrict_to_repeats(f)) if n <= k else (f,):
+            answers = (
+                ctx.ofo_determined(g.values),
+                ctx.supp_determined(g.values),
+                ctx.equiv_ofo_determined(g.values),
+            )
+            assert answers == (
+                brute.ofo_determined(g),
+                brute.supp_determined(g),
+                brute.equiv_ofo_determined(g),
+            )
+            seen_equiv_ofo.add(answers[2])
+    # at (3,2,2) every 2-tuple has its own ofo word, so there is no edge
+    assert seen_equiv_ofo == ({True, False} if ctx.ofo_edges else {True})
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (3, 2, 4), (4, 2, 3)],
+    ids=["k2n2", "k2n3", "k2n4", "k2n5", "k3n3", "k3n4", "k4n3"],
+)
+def test_one_ofo_system_per_distinct_permuted_ofo_partition(shape):
+    k, _, n = shape
+    partitions = set()
+    for sigma in Permutation.all_perms(n):
+        fibers = {}
+        for t in all_tuples(k, n):
+            fibers.setdefault(ofo(apply_index_map(t, sigma)), set()).add(t)
+        partitions.add(frozenset(map(frozenset, fibers.values())))
+    ctx = TableClassifier(*shape)
+    assert len(ctx.ofo_systems) == len(partitions)
+    if k == 2 and n >= 3:
+        # over {0, 1} a non-constant tuple's ofo word is fixed by its first
+        # symbol, so a system is fixed by the position read first
+        assert len(partitions) == n
+    # the systems are the perm_remaps entries themselves, identity first
+    assert ctx.ofo_systems[0] == list(range(k**n))
+    assert all(any(r is remap for remap in ctx.perm_remaps) for r in ctx.ofo_systems)
+
+
+def test_classifier_build_peaks_below_8_mib():
+    # 5! remaps of 4**5 entries; each distinct permuted ofo system is kept
+    # as one of them, found through a key of sorted tuples (a key of
+    # frozensets of frozensets peaks near 14 MiB)
+    tracemalloc.start()
+    try:
+        TableClassifier(4, 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _staged_tables(k, b, n):

@@ -17,6 +17,7 @@ fingerprint hashes everything except wall-clock timing.
 """
 
 import hashlib
+import heapq
 import inspect
 import math
 import os
@@ -25,7 +26,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import accumulate, chain, permutations, product
+from itertools import accumulate, chain, groupby, permutations, product
 from multiprocessing import get_context
 from operator import itemgetter
 
@@ -116,6 +117,25 @@ def _tuple_getter(remap):
         (i,) = remap
         return lambda vals: (vals[i],)
     return itemgetter(*remap)
+
+
+def _join(labels, remap):
+    """The finest partition coarser than both ``labels`` and the cycles of
+    ``remap``, a permutation of the positions.  A partition is a tuple of
+    block labels numbered in order of first occurrence."""
+    parent = list(range(max(labels) + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for i, j in enumerate(remap):
+        x, y = find(labels[i]), find(labels[j])
+        if x != y:
+            parent[max(x, y)] = min(x, y)
+    names = {}
+    return tuple(names.setdefault(find(x), len(names)) for x in labels)
 
 
 class TableClassifier:
@@ -241,6 +261,38 @@ class TableClassifier:
         counts = [len(self.invariant_perm_ids(vals, entries))
                   for entries in self.pair_perm_entries]
         return sum(counts), all(counts)
+
+    def two_set_transitive_tables(self):
+        """An iterator over every 2-set-transitive table of this shape, in
+        index order.
+
+        A table is 2ST exactly when it is constant on the orbits of a group
+        generated by one permutation from each pair's list.  Those orbit
+        partitions are joined pair by pair from the partition into single
+        positions, each kept partition with the cycles of each candidate,
+        and repeats dropped after each pair.  The tables are those constant
+        on the blocks of some final partition.  They are counted, with
+        repeats, before any is built, and more than ``EXHAUSTIVE_GUARD`` is
+        refused.  Each partition's tables come in index order, since its
+        blocks are numbered in order of first occurrence, so one merge
+        yields them all without holding them."""
+        partitions = {tuple(range(self.size))}
+        for entries in self.pair_perm_entries[1:]:
+            partitions = {_join(labels, remap)
+                          for labels in partitions for _, remap in entries}
+        b = self.codomain_size
+        cap = EXHAUSTIVE_GUARD.bit_length()  # b**cap exceeds the guard for b >= 2
+        counts = (b ** min(max(labels) + 1, cap) for labels in partitions)
+        if any(total > EXHAUSTIVE_GUARD for total in accumulate(counts)):
+            raise ValueError(
+                f"the 2-set-transitive tables of ({self.domain_size}, {b}, "
+                f"{self.arity}) exceed the exhaustive guard {EXHAUSTIVE_GUARD}"
+            )
+        merged = heapq.merge(*(
+            map(_tuple_getter(labels), product(range(b), repeat=max(labels) + 1))
+            for labels in partitions
+        ))
+        return (vals for vals, _ in groupby(merged))
 
     def ofo_determined(self, vals) -> bool:
         return self._equal_across(vals, self.ofo_edges, self.perm_remaps[:1])
@@ -899,17 +951,19 @@ def _suite_sporadic_partial(k=4, m=3, alpha=1, beta=0):
 def _suite_two_set_transitive_uim(k=2, b=2, n=4):
     """Every 2-set-transitive table has a unique identification minor; over
     every arity from 3 to ``n`` (at arity 2 the single pair makes every table
-    2-set-transitive)."""
+    2-set-transitive).  The 2ST tables are built from orbit partitions by
+    :meth:`TableClassifier.two_set_transitive_tables`, and each is tested
+    again on its own to be 2ST as well as to have a unique minor; the
+    spaces are bounded as if every table were tested."""
     _space_size(k, b, n)  # reach of the largest case, decided first
     _classifier(k, b, n)
     checked = 0
     for arity in range(3, n + 1):
         ctx = _classifier(k, b, arity)
-        for index, vals in _whole_space(k, b, arity):
-            if ctx.two_set_transitive(vals):
-                checked += 1
-                if not ctx.has_uim(vals):
-                    return checked, f"n={arity}, table {index}"
+        for vals in ctx.two_set_transitive_tables():
+            checked += 1
+            if not (ctx.two_set_transitive(vals) and ctx.has_uim(vals)):
+                return checked, f"n={arity}, table {encode(vals, b)}"
     return checked, None
 
 

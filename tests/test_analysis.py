@@ -380,6 +380,60 @@ def test_design_table_is_2st_without_being_totally_symmetric():
     assert ctx.invariance_summary(_design_table()) == (60, True)
 
 
+@pytest.mark.parametrize(
+    "shape, by_brute_force",
+    [
+        ((2, 2, 3), True), ((2, 3, 3), True), ((3, 2, 2), True), ((1, 3, 3), True),
+        ((2, 2, 4), False), ((2, 4, 3), False),
+    ],
+    ids=["k2b2n3", "k2b3n3", "k3b2n2", "k1b3n3", "k2b2n4", "k2b4n3"],
+)
+def test_two_set_transitive_tables_filter_the_whole_space(shape, by_brute_force):
+    # the orbit-partition build gives exactly the 2ST tables, in index order;
+    # the filter is the brute force where it runs in seconds, else the
+    # classifier's own per-table test
+    ctx = TableClassifier(*shape)
+    if by_brute_force:
+        def is_2st(vals):
+            return brute.is_2_set_transitive_fn(FunctionTable(*shape, vals))
+    else:
+        is_2st = ctx.two_set_transitive
+    k, b, n = shape
+    expected = [vals for vals in product(range(b), repeat=k**n) if is_2st(vals)]
+    assert list(ctx.two_set_transitive_tables()) == expected
+
+
+@pytest.mark.parametrize(
+    "shape, count",
+    [
+        # at k = 2 and n <= 5 a 2-homogeneous group is transitive on the
+        # subsets of every size: the totally symmetric tables, b**(n+1)
+        *(((2, b, n), b ** (n + 1)) for n in (3, 4, 5) for b in (2, 3)),
+        # at n = 6 the union over the six PSL(2,5) conjugates, 8 orbits each
+        # on binary 6-tuples, any two of which generate A_6 with 7 orbits
+        ((2, 2, 6), 6 * 2**8 - 5 * 2**7),
+        ((2, 3, 6), 6 * 3**8 - 5 * 3**7),
+        # every ternary 4-tuple repeats a symbol, so A_4 has the orbits of S_4:
+        # the 15 multisets of size 4 over 3 symbols
+        ((3, 2, 4), 2**15),
+    ],
+    ids=["k2b2n3", "k2b3n3", "k2b2n4", "k2b3n4", "k2b2n5", "k2b3n5", "k2b2n6",
+         "k2b3n6", "k3b2n4"],
+)
+def test_two_set_transitive_counts_take_their_closed_forms(shape, count):
+    assert sum(1 for _ in TableClassifier(*shape).two_set_transitive_tables()) == count
+
+
+def test_two_set_transitive_tables_refuse_more_than_the_guard_at_once():
+    # one partition of 24 blocks per AGL(1,5) conjugate, six in all, so more
+    # than 6 * 2**24 tables: refused before any is built
+    ctx = TableClassifier(3, 2, 5)
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"exceed the exhaustive guard {2**24}"):
+        ctx.two_set_transitive_tables()
+    assert time.perf_counter() - started < 1
+
+
 @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 2)], ids=["k2b2n3", "k2b3n2"])
 def test_whole_space_yields_every_table_in_index_order(shape):
     k, b, n = shape
@@ -468,6 +522,36 @@ def test_uim_2st_suite_rejects_a_planted_fault(monkeypatch):
     report = verify_suite("uim-2st")
     assert not report.passed
     assert report.counterexample == f"n=4, table {encode(target, 2)}"
+
+
+def test_uim_2st_suite_tests_each_built_table_for_2st_again(monkeypatch):
+    # a built table that the per-table test rejects fails the suite there,
+    # after the 16 tables of arity 3 and those before it at arity 4
+    built = list(TableClassifier(2, 2, 4).two_set_transitive_tables())
+    target = built[5]
+    two_set_transitive = TableClassifier.two_set_transitive
+
+    def planted(self, vals):
+        return vals != target and two_set_transitive(self, vals)
+
+    monkeypatch.setattr(TableClassifier, "two_set_transitive", planted)
+    report = verify_suite("uim-2st")
+    assert (report.passed, report.checked) == (False, 16 + 6)
+    assert report.counterexample == f"n=4, table {encode(target, 2)}"
+
+
+def test_uim_2st_suite_tests_only_the_2st_tables(monkeypatch):
+    # 16 tables at arity 3 and 32 at arity 4, not every table of both spaces
+    calls = []
+    two_set_transitive = TableClassifier.two_set_transitive
+
+    def counted(self, vals):
+        calls.append(vals)
+        return two_set_transitive(self, vals)
+
+    monkeypatch.setattr(TableClassifier, "two_set_transitive", counted)
+    assert verify_suite("uim-2st").passed
+    assert len(calls) == 48
 
 
 def test_prop_52_suite_rejects_a_minor_outside_the_orbit(monkeypatch):

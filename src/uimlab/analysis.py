@@ -26,7 +26,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import accumulate, chain, groupby, permutations, product
+from itertools import accumulate, chain, groupby, islice, permutations, product
 from multiprocessing import get_context
 from operator import itemgetter
 
@@ -134,8 +134,7 @@ def _join(labels, remap):
         x, y = find(labels[i]), find(labels[j])
         if x != y:
             parent[max(x, y)] = min(x, y)
-    names = {}
-    return tuple(names.setdefault(find(x), len(names)) for x in labels)
+    return _representative(find(x) for x in labels)
 
 
 class TableClassifier:
@@ -270,16 +269,22 @@ class TableClassifier:
         generated by one permutation from each pair's list.  Those orbit
         partitions are joined pair by pair from the partition into single
         positions, each kept partition with the cycles of each candidate,
-        and repeats dropped after each pair.  The tables are those constant
-        on the blocks of some final partition.  They are counted, with
-        repeats, before any is built, and more than ``EXHAUSTIVE_GUARD`` is
-        refused.  Each partition's tables come in index order, since its
-        blocks are numbered in order of first occurrence, so one merge
-        yields them all without holding them."""
+        and repeats dropped after each pair.  A kept partition that some
+        candidate already leaves unchanged is kept alone: its joins with the
+        others are coarser, so their tables are among its own.  The tables
+        are those constant on the blocks of some final partition.  They are
+        counted, with repeats, before any is built, and more than
+        ``EXHAUSTIVE_GUARD`` is refused.  Each partition's tables come in
+        index order, since its blocks are numbered in order of first
+        occurrence, so one merge yields them all without holding them."""
         partitions = {tuple(range(self.size))}
         for entries in self.pair_perm_entries[1:]:
-            partitions = {_join(labels, remap)
-                          for labels in partitions for _, remap in entries}
+            partitions = {
+                joined
+                for labels in partitions
+                for joined in ((labels,) if self.invariant_perm_ids(labels, entries)
+                               else (_join(labels, remap) for _, remap in entries))
+            }
         b = self.codomain_size
         cap = EXHAUSTIVE_GUARD.bit_length()  # b**cap exceeds the guard for b >= 2
         counts = (b ** min(max(labels) + 1, cap) for labels in partitions)
@@ -332,16 +337,15 @@ class TableClassifier:
         )
 
     def search_category(self, vals, orbit):
-        """``(category, has_uim)`` of the table ``vals``, a tuple, as
-        :meth:`classify_values` gives them, given the :meth:`orbit` of its
+        """The category of the table ``vals``, a tuple, as
+        :meth:`classify_values` gives it, given the :meth:`orbit` of its
         minor for {0, 1}.  A table without a unique identification minor
         fails at some pair p; it is checked there to be neither 2ST (no
         invariant permutation sends {0, 1} onto p) nor OFO-EQ, since either
         would give it a unique minor, and is not classified further."""
         p = self.first_failing_pair(vals, orbit)
         if p is None:
-            c = self.classify_values(vals)
-            return c.category, c.has_uim
+            return self.classify_values(vals).category
         if (self.invariant_perm_ids(vals, self.pair_perm_entries[p])
                 or self.equiv_ofo_determined(vals)):
             raise RuntimeError(
@@ -349,7 +353,7 @@ class TableClassifier:
                 f"{encode(vals, self.codomain_size)}: category preconditions "
                 f"guarantee a unique identification minor"
             )
-        return "NOT-UIM", False
+        return "NOT-UIM"
 
 
 _classifiers = {}
@@ -494,15 +498,17 @@ def _renamings(values, b):
 def _space_size(k, b, n, mode="exhaustive") -> int:
     """``b**(k**n)``, the number of tables of shape ``(k, b, n)``: at most
     ``EXHAUSTIVE_GUARD`` for an exhaustive run, and for a sampled one, whose
-    report prints it, at most as many digits as the interpreter prints.  Reach
-    is decided on a capped exponent, so no large ``k**n`` or size is formed."""
+    report prints it, at most as many digits as the interpreter prints, and
+    with no such limit, at most a table of ``TABLE_SIZE_GUARD`` entries, as
+    the sampled run builds one.  Reach is decided on a capped exponent, so no
+    large ``k**n`` or size is formed."""
     ftable._check_dims(k, b, n)
     if mode == "exhaustive":
         bound, name = EXHAUSTIVE_GUARD, f"the exhaustive guard {EXHAUSTIVE_GUARD}"
     elif digits := sys.get_int_max_str_digits():
         bound, name = 10**digits - 1, f"the {digits}-digit limit for printing an integer"
     else:  # the interpreter prints integers of any length
-        return b ** (k**n)
+        return b ** ftable._table_size(k, n)
     cap = bound.bit_length()
     # k**n itself, or above cap, where b**exponent exceeds the bound for b >= 2.
     exponent = k ** min(n, cap.bit_length())
@@ -514,33 +520,35 @@ def _space_size(k, b, n, mode="exhaustive") -> int:
 
 
 def _search_chunk(args):
-    """Classify one part of a search and run both self-checks on it:
+    """Classify worker ``worker``'s share of a search, every ``workers``-th
+    group, and run both self-checks on it:
     :meth:`TableClassifier.search_category` checks that a table without a
     unique identification minor is neither 2ST nor OFO-EQ, and each
-    spot-checked table's permuted copies, classified in full, classify like
-    the table the main loop classified for it.
+    spot-checked table's permuted copies, classified in full, must get the
+    category of the table the main loop classified for it.
 
     Tables are taken in groups that share g, their minor for {0, 1}, and
-    g's orbit is built once per group.  An exhaustive part is every
-    restricted-growth g extending a prefix, each followed by its
-    restricted-growth completions in minor-first order (see
-    :attr:`TableClassifier.g_first`); a completion stands for
-    ``b!/(b-r)!`` tables, its renamings onto ``r`` of the ``b`` values.  A
-    sampled part is a range of sample slots, each its own group.
+    g's orbit is built once per group.  An exhaustive group is a
+    restricted-growth g followed by its restricted-growth completions in
+    minor-first order (see :attr:`TableClassifier.g_first`), each taken back
+    to table order; a completion stands for ``b!/(b-r)!`` tables, its
+    renamings onto ``r`` of the ``b`` values.  A sampled group is one sample
+    slot.
     """
-    k, b, n, mode, seed, total, part, spot_checks = args
+    k, b, n, mode, seed, total, slots, spot_checks, worker, workers = args
     ctx = _classifier(k, b, n)
     exhaustive = mode == "exhaustive"
     if exhaustive:
         groups = (
-            (g, ((v, ctx.scatter(v)) for v in _restricted_growth(ctx.size, b, g)))
-            for g in _restricted_growth(ctx.size // k, b, part)
+            (g, map(ctx.scatter, _restricted_growth(ctx.size, b, g)))
+            for g in islice(_restricted_growth(ctx.size // k, b), worker, None, workers)
         )
     else:
         samples = (
-            decode(sample_index(seed, slot, total), ctx.size, b) for slot in range(*part)
+            decode(sample_index(seed, slot, total), ctx.size, b)
+            for slot in range(worker, slots, workers)
         )
-        groups = ((ctx.minors[0](values), [(values, values)]) for values in samples)
+        groups = ((ctx.minors[0](values), (values,)) for values in samples)
     counts = Counter()
     witnesses = []
     for g, tables in groups:
@@ -552,11 +560,10 @@ def _search_chunk(args):
             weight = 1
         else:
             weight = math.factorial(b) if max(g) == b - 1 else None
-        for key, values in tables:
-            category, uim = ctx.search_category(values, orbit)
-            for index, copy in checks.pop(key, ()) if checks else ():
-                cp = ctx.classify_values(copy)
-                if (category, uim) != (cp.category, cp.has_uim):
+        for values in tables:
+            category = ctx.search_category(values, orbit)
+            for index, copy in checks.pop(values, ()) if checks else ():
+                if ctx.classify_values(copy).category != category:
                     raise RuntimeError(
                         f"classification is not permutation-invariant at table {index}"
                     )
@@ -569,23 +576,9 @@ def _search_chunk(args):
     return dict(counts), witnesses
 
 
-def _thread_count(threads) -> int:
-    if threads is None:
-        raw = os.environ.get("UIMLAB_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise ValueError(f"UIMLAB_THREADS needs a positive worker count, got {raw!r}")
-    elif threads < 1:
-        raise ValueError(f"threads needs a positive worker count, got {threads}")
-    return min(int(threads), os.cpu_count() or 1)
-
-
 def search(domain_size: int, codomain_size: int, arity: int,
            mode: str = "exhaustive", seed: int | None = None,
-           samples: int | None = None, threads: int | None = None) -> SearchReport:
+           samples: int | None = None, threads: int = 1) -> SearchReport:
     """Classify a complete table space, or a seeded sample of one.
 
     Exhaustive mode covers every table index below b**(k**n) (guarded at
@@ -599,9 +592,13 @@ def search(domain_size: int, codomain_size: int, arity: int,
     adds each renaming to the witnesses under its own ``table_index``;
     ``classified`` counts the tables covered.  Sampled mode draws
     ``samples`` indices via :func:`sample_index` and classifies each, in a
-    space whose size the report can print (see :func:`_space_size`).  Work
-    may be split across processes; witnesses are sorted by table index, so
-    reports are identical for any thread count.
+    space whose size the report can print (see :func:`_space_size`).
+
+    ``threads`` worker processes, at most one per CPU, share the groups
+    round-robin: of W workers, worker w takes groups w, w + W, w + 2W, ...
+    in the order of the restricted-growth g, or of the sample slots.  One
+    worker runs in this process, with no pool.  Witnesses are sorted by
+    table index, so reports are identical for any thread count.
     """
     k, b, n = domain_size, codomain_size, arity
     if mode == "sampled":
@@ -611,17 +608,20 @@ def search(domain_size: int, codomain_size: int, arity: int,
             seed = 0
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
+    elif samples is not None:
+        raise ValueError(f"exhaustive mode takes no samples, got samples={samples}")
+    if threads < 1:
+        raise ValueError(f"threads needs a positive worker count, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
     total = _space_size(k, b, n, mode)
     slots = total if mode == "exhaustive" else samples
-    threads = _thread_count(threads)
     started = time.perf_counter()
     # Built before the pool forks, so every worker inherits it.
     ctx = _classifier(k, b, n)
-    g_size = ctx.size // k  # entries of g, the minor for {0, 1}
     # 100 seeded (slot, permutation) pairs for the invariance spot check.
     # Each drawn table's permuted copy is keyed by the vector the main loop
-    # reaches it as, grouped by that vector's minor for {0, 1}: in exhaustive
-    # mode the table's representative in minor-first order.
+    # classifies for it, grouped by that vector's minor for {0, 1}: in
+    # exhaustive mode the table's representative, taken back to table order.
     rng = random.Random(f"{0 if seed is None else seed}:invariance-spot-check")
     spot_checks = {}
     for _ in range(100):
@@ -629,39 +629,24 @@ def search(domain_size: int, codomain_size: int, arity: int,
         remap = ctx.perm_remaps[rng.randrange(math.factorial(n))]
         index = slot if mode == "exhaustive" else sample_index(seed, slot, total)
         values = decode(index, ctx.size, b)
+        key = values
         if mode == "exhaustive":
-            key = _representative(values[i] for i in ctx.g_first)
-            g = key[:g_size]
-        else:
-            key, g = values, ctx.minors[0](values)
-        spot_checks.setdefault(g, {}).setdefault(key, []).append(
+            key = ctx.scatter(_representative(values[i] for i in ctx.g_first))
+        spot_checks.setdefault(ctx.minors[0](key), {}).setdefault(key, []).append(
             (index, tuple(values[j] for j in remap)))
-    if mode == "exhaustive":
-        # One part per restricted-growth prefix of g; for b >= 2 the
-        # 2**(length-1) prefixes over {0, 1} alone give every worker at least
-        # four parts, unless g itself is shorter.
-        length = min(g_size, (4 * threads).bit_length()) if threads > 1 else 0
-        parts = list(_restricted_growth(length, b))
-    else:
-        chunk = max(1, math.ceil(slots / threads))
-        parts = [(lo, min(lo + chunk, slots)) for lo in range(0, slots, chunk)]
-    jobs = [(k, b, n, mode, seed, total, part, spot_checks) for part in parts]
-    if len(jobs) == 1:
+    jobs = [(k, b, n, mode, seed, total, slots, spot_checks, w, workers)
+            for w in range(workers)]
+    if workers == 1:
         results = [_search_chunk(jobs[0])]
     else:
-        with get_context("fork").Pool(min(threads, len(jobs))) as pool:
+        with get_context("fork").Pool(workers) as pool:
             results = pool.map(_search_chunk, jobs)
 
     counts = Counter()
-    witnesses = []
+    witnesses = {}  # a table drawn twice is one witness
     for part_counts, part_witnesses in results:
         counts.update(part_counts)
-        witnesses.extend(part_witnesses)
-    witnesses.sort(key=lambda w: w["table_index"])
-    deduped = []
-    for w in witnesses:
-        if not deduped or deduped[-1]["table_index"] != w["table_index"]:
-            deduped.append(w)
+        witnesses.update((w["table_index"], w) for w in part_witnesses)
 
     return SearchReport(
         domain_size=k,
@@ -673,8 +658,8 @@ def search(domain_size: int, codomain_size: int, arity: int,
         total_space=total,
         classified=slots,
         counts={cat: counts.get(cat, 0) for cat in CATEGORIES},
-        other_witnesses=deduped,
-        flagged_counterexamples=bool(deduped) and n > k + 1,
+        other_witnesses=[witnesses[i] for i in sorted(witnesses)],
+        flagged_counterexamples=bool(witnesses) and n > k + 1,
         elapsed_seconds=time.perf_counter() - started,
     )
 

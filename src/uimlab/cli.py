@@ -12,11 +12,11 @@ flag the chosen suite does not take is a usage error.
 Conventions: files, ``--json`` output, and symbol-valued flags (``--alpha``,
 ``--beta``) use 0-based symbols; human-readable output renders tuples,
 permutations, and pairs 1-based.  ``search --threads N`` sets how many worker
-processes a search may use, at most one per CPU; without it
-``UIMLAB_THREADS`` does (default 1); a count below 1 from either is a usage
-error.  Reports are identical for every count.  A table space beyond
-``search``'s guards or a whole-space suite's, and a table beyond the guards
-of the classifier that ``check`` and ``classify`` use, are usage errors too.
+processes share a search round-robin, at most one per CPU (default 1); a
+count below 1 is a usage error.  Reports are identical for every count.  A
+table space beyond ``search``'s guards or a whole-space suite's, and a table
+beyond the guards of the classifier that ``check`` and ``classify`` use, are
+usage errors too.
 """
 
 import argparse
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: UIMLAB_THREADS, else 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per CPU (default 1)")
     p.add_argument("--report", help="write the JSON report to this file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_search)

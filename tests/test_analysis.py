@@ -287,8 +287,7 @@ def test_search_category_agrees_with_classify_values(shape):
     seen = set()
     for vals in _staged_tables(*shape):
         c = ctx.classify_values(vals)
-        assert ctx.search_category(vals, ctx.orbit(ctx.minors[0](vals))) == (
-            c.category, c.has_uim)
+        assert ctx.search_category(vals, ctx.orbit(ctx.minors[0](vals))) == c.category
         seen.add(c.category)
     if shape[2] == 2:
         # a single pair: every table is 2ST and takes the full path
@@ -424,6 +423,21 @@ def test_two_set_transitive_counts_take_their_closed_forms(shape, count):
     assert sum(1 for _ in TableClassifier(*shape).two_set_transitive_tables()) == count
 
 
+def test_two_set_transitive_tables_keep_a_partition_a_candidate_fixes(monkeypatch):
+    # a kept partition that some candidate leaves unchanged is not joined
+    # with the pair's other candidates, whose joins are coarser
+    calls = []
+    join = analysis._join
+
+    def counting_join(labels, remap):
+        calls.append(remap)
+        return join(labels, remap)
+
+    monkeypatch.setattr(analysis, "_join", counting_join)
+    assert sum(1 for _ in TableClassifier(2, 2, 6).two_set_transitive_tables()) == 896
+    assert len(calls) <= 4032
+
+
 def test_two_set_transitive_tables_refuse_more_than_the_guard_at_once():
     # one partition of 24 blocks per AGL(1,5) conjugate, six in all, so more
     # than 6 * 2**24 tables: refused before any is built
@@ -448,25 +462,32 @@ def test_whole_space_guard_names_the_space_and_the_guard():
 
 
 @pytest.mark.parametrize(
-    "call, space",
+    "call, message, digit_limit",
     [
-        (lambda: verify_suite("prop-suppord", n=33), "2**8589934592"),
-        (lambda: analysis._whole_space(2, 2, 40), f"2**{2**40}"),
-        (lambda: search(2, 2, 14, mode="exhaustive"), "2**16384"),
-        (lambda: search(5, 2, 6, mode="sampled", samples=1), "2**15625"),
-        (lambda: search(1024, 2, 2, mode="sampled", samples=1), f"2**{2**20}"),
+        (lambda: verify_suite("prop-suppord", n=33), "space of 2**8589934592 tables", None),
+        (lambda: analysis._whole_space(2, 2, 40), f"space of 2**{2**40} tables", None),
+        (lambda: search(2, 2, 14, mode="exhaustive"), "space of 2**16384 tables", None),
+        (lambda: search(5, 2, 6, mode="sampled", samples=1), "space of 2**15625 tables",
+         None),
+        (lambda: search(1024, 2, 2, mode="sampled", samples=1),
+         f"space of 2**{2**20} tables", None),
+        # with no limit on printed digits, a sampled run still builds a table
+        (lambda: search(5, 2, 40, mode="sampled", samples=1),
+         f"a table of 5**40 entries exceeds the table size guard {2**20}", 0),
     ],
     ids=["prop-suppord-n33", "whole-space-n40", "exhaustive-n14",
-         "sampled-k5-n6", "sampled-k1024-n2"],
+         "sampled-k5-n6", "sampled-k1024-n2", "sampled-k5-n40-no-digit-limit"],
 )
-def test_an_out_of_reach_space_is_refused_at_once(call, space):
+def test_an_out_of_reach_space_is_refused_at_once(monkeypatch, call, message, digit_limit):
     # The size is compared without being formed, and the message names the
     # space as a power instead of printing its digits.
+    if digit_limit is not None:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: digit_limit)
     started = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds the") as err:
         call()
     assert time.perf_counter() - started < 1
-    assert f"space of {space} tables" in str(err.value)
+    assert message in str(err.value)
 
 
 def test_sampled_space_size_is_unbounded_when_the_interpreter_prints_any_integer(
@@ -656,8 +677,7 @@ class _FullClassifier(TableClassifier):
     fault planted there reaches the main loop and the spot check alike."""
 
     def search_category(self, values, orbit):
-        c = self.classify_values(values)
-        return c.category, c.has_uim
+        return self.classify_values(values).category
 
 
 def test_search_rejects_a_classification_that_is_not_permutation_invariant(
@@ -804,8 +824,8 @@ def test_search_reports_are_reproducible():
 
 
 def test_search_parallel_matches_serial():
-    # at (2, 3, 2) the minor for {0, 1} has only 2 entries, fewer than the
-    # prefix four workers would otherwise split on
+    # at (2, 3, 2) the minor for {0, 1} has only 2 entries and 2
+    # restricted-growth values, fewer than four workers
     for shape, threads in (((2, 2, 3), 4), ((2, 3, 3), 2), ((2, 2, 4), 2), ((2, 3, 2), 4)):
         serial = search(*shape, mode="exhaustive", threads=1)
         parallel = search(*shape, mode="exhaustive", threads=threads)
@@ -836,6 +856,34 @@ def test_search_guards():
 def test_search_rejects_a_bad_worker_count(threads):
     with pytest.raises(ValueError, match=f"positive worker count, got {threads}"):
         search(2, 2, 3, threads=threads)
+
+
+def test_search_rejects_samples_in_exhaustive_mode():
+    with pytest.raises(ValueError, match="exhaustive mode takes no samples, got samples=5"):
+        search(2, 2, 3, mode="exhaustive", samples=5)
+
+
+def test_search_runs_in_process_by_default(monkeypatch):
+    def no_pool(method):
+        raise AssertionError("search built a worker pool")
+
+    monkeypatch.setattr(analysis, "get_context", no_pool)
+    assert search(2, 2, 3).classified == 256
+    assert search(2, 2, 5, mode="sampled", seed=3, samples=25).classified == 25
+
+
+def test_search_worker_with_an_empty_share():
+    # (1, 3, 3) has one restricted-growth minor for {0, 1}, and a sampled run
+    # of one sample has one slot: the second worker of two gets no group
+    total = analysis._space_size(1, 3, 3)
+    for mode, seed, slots in (("exhaustive", None, total), ("sampled", 0, 1)):
+        def share(worker, workers):
+            return analysis._search_chunk(
+                (1, 3, 3, mode, seed, total, slots, {}, worker, workers))
+
+        assert share(1, 2) == ({}, [])
+        assert share(0, 2) == share(0, 1)
+        assert sum(share(0, 2)[0].values()) == slots
 
 
 def test_search_witnesses_sorted_unique():

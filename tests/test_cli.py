@@ -380,23 +380,6 @@ def test_search_rejects_an_empty_codomain(mode, capsys):
     assert "codomain size must be >= 1" in capsys.readouterr().err
 
 
-def test_threads_env_is_respected(monkeypatch):
-    monkeypatch.setenv("UIMLAB_THREADS", "2")
-    a = analysis.search(2, 2, 3, mode="exhaustive")
-    monkeypatch.setenv("UIMLAB_THREADS", "1")
-    b = analysis.search(2, 2, 3, mode="exhaustive")
-    assert a.fingerprint() == b.fingerprint()
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "abc", ""])
-def test_threads_env_rejects_a_bad_worker_count(monkeypatch, capsys, value):
-    monkeypatch.setenv("UIMLAB_THREADS", value)
-    assert cli.main(["search", "--k", "2", "--b", "2", "--n", "3", "--exhaustive"]) == 2
-    assert f"UIMLAB_THREADS needs a positive worker count, got {value!r}" in (
-        capsys.readouterr().err
-    )
-
-
 def test_verify_whole_space_guard_exit(capsys):
     assert cli.main(["verify", "--suite", "prop-suppord", "--n", "5"]) == 2
     assert f"space of 2**32 tables exceeds the exhaustive guard {2**24}" in (

@@ -140,7 +140,10 @@ def _join(labels, remap):
 class TableClassifier:
     """Precomputed index machinery for classifying every table of one shape.
 
-    Value vectors are plain tuples and nothing is memoized across tables.
+    Value vectors are plain tuples, and nothing about a table is memoized
+    across tables; only the refuters of :meth:`search_category` are built
+    once per pair, on first use, and a search shares the live ones among
+    the tables of one minor g for {0, 1} (see :meth:`group`).
     The identification-minor and minor-permutation pull-backs are built once
     here as getters; a table has a unique identification minor exactly when
     every minor lies in the orbit of the first under argument permutations.
@@ -160,7 +163,8 @@ class TableClassifier:
     :meth:`search_category` answers only the search's, and settles a table
     without a unique identification minor at the first pair whose minor
     falls outside the orbit, checking there that the table is neither 2ST
-    nor OFO-EQ; only the other tables are classified in full.
+    nor OFO-EQ by the same candidates and systems, held as refuters; only
+    the other tables are classified in full.
     """
 
     def __init__(self, domain_size: int, codomain_size: int, arity: int):
@@ -217,9 +221,81 @@ class TableClassifier:
             systems.setdefault(key, remap)
         self.ofo_systems = list(systems.values())
 
+        # Refuters, built per pair on first use (see :meth:`refuters`).
+        self._refuters = {}
+        self._system_refuters = None
+
     def orbit(self, g):
         """Every minor that an argument permutation makes of the minor ``g``."""
         return {perm(g) for perm in self.sub_perms}
+
+    def group(self, g):
+        """What the tables sharing the minor ``g`` for {0, 1} share in
+        :meth:`search_category`: g's :meth:`orbit`, and per failing pair
+        the refuters that g's entries leave live, filled in as pairs fail."""
+        return self.orbit(g), {}
+
+    def refuters(self, p):
+        """The constraints a table failing at pair ``p`` must each break,
+        built on first use: for each candidate of ``pair_perm_entries[p]``
+        invariance under it, then for each ofo system equality across its
+        edges.  A refuter is ``(m, inner, outer)``: position x must equal
+        position ``m[x]``, for the moved positions x split into ``inner``,
+        both ends among g's entries, and ``outer``, the rest."""
+        refs = self._refuters.get(p)
+        if refs is None:
+            refs = self._refuters[p] = self._build_refuters(p)
+        return refs
+
+    def _build_refuters(self, p):
+        identity = self.perm_remaps[0]
+        in_g = [False] * self.size
+        for x in self.g_first[:self.size // self.domain_size]:
+            in_g[x] = True
+
+        def refuter(m):
+            inner, outer = [], []
+            # Positions taken from the identity remap share its int objects.
+            for x, y in zip(identity, m):
+                if x != y:
+                    (inner if in_g[x] and in_g[y] else outer).append(x)
+            return m, inner, outer
+
+        # The ofo systems' refuters are the same for every pair, so they are
+        # built once; system r asks position r[j] to equal r[i] on each edge.
+        if self._system_refuters is None:
+            self._system_refuters = []
+            for r in self.ofo_systems:
+                m = identity[:]
+                for i, j in self.ofo_edges:
+                    m[r[j]] = r[i]
+                self._system_refuters.append(refuter(m))
+        entries = self.pair_perm_entries[p]
+        return [refuter(remap) for _, remap in entries] + self._system_refuters
+
+    def live_refuters(self, vals, p):
+        """``(m, outer)`` for each refuter of pair ``p`` whose inner edges
+        ``vals`` leaves equal: those that a table sharing ``vals``'s minor
+        for {0, 1} and failing at ``p`` must break on an outer edge."""
+        live = []
+        for m, inner, outer in self.refuters(p):
+            for x in inner:
+                if vals[x] != vals[m[x]]:
+                    break
+            else:
+                live.append((m, outer))
+        return live
+
+    @staticmethod
+    def refutes(vals, live) -> bool:
+        """Does ``vals`` break an outer edge of every live refuter?"""
+        for m, outer in live:
+            for x in outer:
+                if vals[x] != vals[m[x]]:
+                    break
+            else:
+                return False
+        return True
 
     def first_failing_pair(self, vals, orbit):
         """Index of the first pair whose minor lies outside ``orbit``, the
@@ -336,18 +412,25 @@ class TableClassifier:
             category=_categorize(uim, two_set, equiv_ofo),
         )
 
-    def search_category(self, vals, orbit):
+    def search_category(self, vals, group):
         """The category of the table ``vals``, a tuple, as
-        :meth:`classify_values` gives it, given the :meth:`orbit` of its
+        :meth:`classify_values` gives it, given the :meth:`group` of its
         minor for {0, 1}.  A table without a unique identification minor
         fails at some pair p; it is checked there to be neither 2ST (no
         invariant permutation sends {0, 1} onto p) nor OFO-EQ, since either
-        would give it a unique minor, and is not classified further."""
+        would give it a unique minor, and is not classified further.  So
+        it must break every one of p's :meth:`refuters`.  The first table
+        of the group to fail at p drops those that an edge among g's
+        entries breaks, the same in every table of the group, and each
+        table then tests the other edges of those left."""
+        orbit, live = group
         p = self.first_failing_pair(vals, orbit)
         if p is None:
             return self.classify_values(vals).category
-        if (self.invariant_perm_ids(vals, self.pair_perm_entries[p])
-                or self.equiv_ofo_determined(vals)):
+        refuters = live.get(p)
+        if refuters is None:
+            refuters = live[p] = self.live_refuters(vals, p)
+        if not self.refutes(vals, refuters):
             raise RuntimeError(
                 f"classification inconsistency at table "
                 f"{encode(vals, self.codomain_size)}: category preconditions "
@@ -528,8 +611,10 @@ def _search_chunk(args):
     category of the table the main loop classified for it.
 
     Tables are taken in groups that share g, their minor for {0, 1}, and
-    g's orbit is built once per group.  An exhaustive group is a
-    restricted-growth g followed by its restricted-growth completions in
+    each group's :meth:`TableClassifier.group` is built once: g's orbit,
+    and per failing pair the refuters that g's entries leave live, so a
+    worker builds the live lists of its own groups.  An exhaustive group
+    is a restricted-growth g followed by its restricted-growth completions in
     minor-first order (see :attr:`TableClassifier.g_first`), each taken back
     to table order; a completion stands for ``b!/(b-r)!`` tables, its
     renamings onto ``r`` of the ``b`` values.  A sampled group is one sample
@@ -552,7 +637,7 @@ def _search_chunk(args):
     counts = Counter()
     witnesses = []
     for g, tables in groups:
-        orbit = ctx.orbit(g)
+        group = ctx.group(g)
         checks = spot_checks.get(g)  # emptied as its tables come up
         # An exhaustive table counts for its renamings: b! of them for every
         # completion of a g that already uses all b values.
@@ -561,7 +646,7 @@ def _search_chunk(args):
         else:
             weight = math.factorial(b) if max(g) == b - 1 else None
         for values in tables:
-            category = ctx.search_category(values, orbit)
+            category = ctx.search_category(values, group)
             for index, copy in checks.pop(values, ()) if checks else ():
                 if ctx.classify_values(copy).category != category:
                     raise RuntimeError(
@@ -586,7 +671,10 @@ def search(domain_size: int, codomain_size: int, arity: int,
     renaming: the table whose values, read minor-first (the entries of g,
     its minor for {0, 1}, then the rest in index order), first occur in the
     order 0, 1, 2, ...  It walks each restricted-growth g in turn and then
-    g's completions, so g's orbit is built once for all of them.  Every
+    g's completions, so g's orbit is built once for all of them, and so is
+    each failing pair's list of the refuters that g's entries leave live
+    for the NOT-UIM self-check (see :meth:`TableClassifier.search_category`).
+    Every
     category is invariant under renaming, so a representative using
     r values counts for its b!/(b-r)! renamings, and an OTHER representative
     adds each renaming to the witnesses under its own ``table_index``;

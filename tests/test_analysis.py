@@ -261,6 +261,22 @@ def test_classifier_build_peaks_below_8_mib():
     assert peak < 8 * 2**20
 
 
+def test_refuters_of_every_pair_peak_below_8_mib():
+    # at (4,2,5) one refuter per permutation, of moved positions only, and
+    # one per ofo system, built once and shared by every pair
+    ctx = TableClassifier(4, 2, 5)
+    tracemalloc.start()
+    try:
+        for p in range(1, len(ctx.pairs)):
+            ctx.refuters(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    systems = len(ctx.ofo_systems)
+    assert all(a is b for a, b in zip(ctx.refuters(1)[-systems:], ctx.refuters(2)[-systems:]))
+
+
 def _staged_tables(k, b, n):
     """Every table of a space of at most 2**16; beyond, the seeded random and
     argument-permuted ofo-determined tables of :func:`_agreement_tables`
@@ -287,7 +303,7 @@ def test_search_category_agrees_with_classify_values(shape):
     seen = set()
     for vals in _staged_tables(*shape):
         c = ctx.classify_values(vals)
-        assert ctx.search_category(vals, ctx.orbit(ctx.minors[0](vals))) == c.category
+        assert ctx.search_category(vals, ctx.group(ctx.minors[0](vals))) == c.category
         seen.add(c.category)
     if shape[2] == 2:
         # a single pair: every table is 2ST and takes the full path
@@ -295,6 +311,46 @@ def test_search_category_agrees_with_classify_values(shape):
     else:
         # both the staged path and the full one are taken
         assert "NOT-UIM" in seen and len(seen) > 1
+
+
+def _g_groups(ctx):
+    """The tables of each group exhaustive search walks: the restricted-growth
+    completions of each restricted-growth minor g for {0, 1}, in table order."""
+    b = ctx.codomain_size
+    for g in analysis._restricted_growth(ctx.size // ctx.domain_size, b):
+        yield [ctx.scatter(c) for c in analysis._restricted_growth(ctx.size, b, g)]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (2, 3, 3), (2, 2, 4), (2, 2, 6)],
+    ids=["k2b2n3", "k2b3n3", "k2b2n4", "k2b2n6"],
+)
+def test_refuters_live_for_another_table_of_the_group_decide_the_check(shape):
+    # the shared check equals the per-table one at every pair p >= 1, with
+    # the live refuters built from another table with the same minor g: at
+    # n = 6 the seeded tables with their entries outside g drawn again, else
+    # every representative with the one before it in its group
+    ctx = TableClassifier(*shape)
+    if shape[2] == 6:
+        rng = random.Random(31)
+        in_g = set(ctx.g_first[:ctx.size // ctx.domain_size])
+        cases = [
+            (vals, tuple(v if x in in_g else rng.randrange(2) for x, v in enumerate(vals)))
+            for vals in _agreement_tables(*shape)
+        ]
+    else:
+        cases = [(vals, tables[i - 1]) for tables in _g_groups(ctx)
+                 for i, vals in enumerate(tables)]
+    seen = set()
+    for vals, other in cases:
+        assert other != vals and ctx.minors[0](other) == ctx.minors[0](vals)
+        for p, entries in enumerate(ctx.pair_perm_entries[1:], 1):
+            refuted = not (ctx.invariant_perm_ids(vals, entries)
+                           or ctx.equiv_ofo_determined(vals))
+            assert ctx.refutes(vals, ctx.live_refuters(other, p)) == refuted
+            seen.add(refuted)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -529,6 +585,45 @@ def test_search_rejects_a_planted_inconsistency(monkeypatch, target, two_set, eq
         search(2, 2, 3, threads=1)
 
 
+def _permuted_ofo_eq_table_at_arity_4():
+    """An OFO-EQ table at (2,2,4) that is not ofo-determined itself and that
+    no permutation sending {0, 1} onto {0, 2} leaves unchanged."""
+    f = compose_ofo(OfoTable.from_values(2, 2, 2, (0, 1, 1, 0)), 4)
+    sigma = Permutation((2, 0, 1, 3))
+    return FunctionTable.from_callable(2, 2, 4, lambda t: f(apply_index_map(t, sigma))).values
+
+
+@pytest.mark.parametrize(
+    "target, two_set",
+    [
+        # supp-determined, 1 exactly off the diagonal
+        (compose_supp(SuppTable.from_values(2, 2, 2, (0, 0, 1)), 4).values, True),
+        (_permuted_ofo_eq_table_at_arity_4(), False),
+    ],
+    ids=["supp", "permuted-ofo"],
+)
+def test_search_rejects_a_planted_inconsistency_on_shared_refuters(
+        monkeypatch, target, two_set):
+    # the target is a restricted-growth representative, and an earlier table
+    # of its group fails at the pair {0, 2} on its own, so the refuters that
+    # g leaves live there are built from that table, not from the target
+    ctx = TableClassifier(2, 2, 4)
+    assert ctx.classify_values(target).category == ("2ST" if two_set else "OFO-EQ")
+    assert bool(ctx.invariant_perm_ids(target, ctx.pair_perm_entries[1])) == two_set
+    orbit = ctx.orbit(ctx.minors[0](target))
+    (tables,) = (tables for tables in _g_groups(ctx) if target in tables)
+    earlier = tables[:tables.index(target)]
+    assert any(ctx.first_failing_pair(u, orbit) == 1 for u in earlier)
+    first_failing_pair = TableClassifier.first_failing_pair
+
+    def planted(self, vals, orbit):
+        return 1 if vals == target else first_failing_pair(self, vals, orbit)
+
+    monkeypatch.setattr(TableClassifier, "first_failing_pair", planted)
+    with pytest.raises(RuntimeError, match="classification inconsistency"):
+        search(2, 2, 4, threads=1)
+
+
 def test_uim_2st_suite_rejects_a_planted_fault(monkeypatch):
     # a supp-determined (2,2,4) table, 1 exactly off the diagonal, is 2ST;
     # flagging it as failing at the pair {0, 2} must fail the suite there
@@ -637,9 +732,9 @@ def test_search_spot_checks_100_permuted_tables(monkeypatch):
     search_category = TableClassifier.search_category
     classify_values = TableClassifier.classify_values
 
-    def counting_main_loop(self, values, orbit):
+    def counting_main_loop(self, values, group):
         main_loop.append(values)
-        return search_category(self, values, orbit)
+        return search_category(self, values, group)
 
     def counting_full(self, values):
         full.append(values)
@@ -672,11 +767,49 @@ def test_search_builds_each_orbit_of_the_first_minor_once(monkeypatch):
     assert set(analysis._restricted_growth(4, 2)) <= set(orbits)
 
 
+def test_search_builds_each_pairs_refuters_once(monkeypatch):
+    built = []
+    build = TableClassifier._build_refuters
+
+    def counting_build(self, p):
+        built.append((self, p))
+        return build(self, p)
+
+    monkeypatch.setattr(TableClassifier, "_build_refuters", counting_build)
+    monkeypatch.setattr(analysis, "_classifiers", {})
+    TableClassifier(2, 2, 6)
+    assert built == []  # not at construction, but on first use
+    search(2, 2, 4, threads=1)
+    search(2, 2, 4, threads=1)
+    # tables fail at each of the five pairs after {0, 1}; the second search
+    # reuses the classifier and its refuters
+    ctx = analysis._classifier(2, 2, 4)
+    assert sorted(p for _, p in built) == [1, 2, 3, 4, 5]
+    assert all(c is ctx for c, _ in built)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (2, 3, 3), (2, 4, 3), (2, 5, 3), (2, 2, 4)],
+    ids=["k2b2n3", "k2b3n3", "k2b4n3", "k2b5n3", "k2b2n4"],
+)
+def test_search_counts_take_their_closed_forms_at_k2(shape):
+    # an ofo-determined table has four keys: the two constant tuples and
+    # "first symbol 0" and "first symbol 1"; it is 2ST exactly when the last
+    # two share a value, so the OFO-EQ tables are n leading positions times
+    # b**2 constant values times b(b-1) distinct non-constant values.  At
+    # n <= 5 the 2ST tables are the totally symmetric ones, b**(n+1).
+    _, b, n = shape
+    counts = search(*shape, threads=1).counts
+    assert counts["OFO-EQ"] == n * (b - 1) * b**3
+    assert counts["2ST"] == b ** (n + 1)
+
+
 class _FullClassifier(TableClassifier):
     """Answers the search's main loop from :meth:`classify_values`, so a
     fault planted there reaches the main loop and the spot check alike."""
 
-    def search_category(self, values, orbit):
+    def search_category(self, values, group):
         return self.classify_values(values).category
 
 
@@ -823,16 +956,19 @@ def test_search_reports_are_reproducible():
     assert a.to_json_obj(include_timing=False) == b.to_json_obj(include_timing=False)
 
 
-def test_search_parallel_matches_serial():
+def test_search_parallel_matches_serial(monkeypatch):
     # at (2, 3, 2) the minor for {0, 1} has only 2 entries and 2
-    # restricted-growth values, fewer than four workers
+    # restricted-growth values, fewer than four workers; the CPU count is
+    # raised so that every split runs with the workers it asks for
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for shape, threads in (((2, 2, 3), 4), ((2, 3, 3), 2), ((2, 2, 4), 2), ((2, 3, 2), 4)):
         serial = search(*shape, mode="exhaustive", threads=1)
         parallel = search(*shape, mode="exhaustive", threads=threads)
         assert serial.fingerprint() == parallel.fingerprint()
 
 
-def test_search_sampled_determinism():
+def test_search_sampled_determinism(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # three workers on any host
     a = search(2, 2, 5, mode="sampled", seed=3, samples=25)
     b = search(2, 2, 5, mode="sampled", seed=3, samples=25, threads=3)
     other = search(2, 2, 5, mode="sampled", seed=4, samples=25)

@@ -220,6 +220,9 @@ class TableClassifier:
             key = frozenset(tuple(sorted(map(remap.__getitem__, f))) for f in fibers)
             systems.setdefault(key, remap)
         self.ofo_systems = list(systems.values())
+        # The identity remap alone, for the two fiber tests that read ``vals``
+        # as it is.
+        self.identity_remaps = self.perm_remaps[:1]
 
         # Refuters, built per pair on first use (see :meth:`refuters`).
         self._refuters = {}
@@ -376,10 +379,10 @@ class TableClassifier:
         return (vals for vals, _ in groupby(merged))
 
     def ofo_determined(self, vals) -> bool:
-        return self._equal_across(vals, self.ofo_edges, self.perm_remaps[:1])
+        return self._equal_across(vals, self.ofo_edges, self.identity_remaps)
 
     def supp_determined(self, vals) -> bool:
-        return self._equal_across(vals, self.supp_edges, self.perm_remaps[:1])
+        return self._equal_across(vals, self.supp_edges, self.identity_remaps)
 
     def equiv_ofo_determined(self, vals) -> bool:
         return self._equal_across(vals, self.ofo_edges, self.ofo_systems)
@@ -790,7 +793,12 @@ def _whole_space(k, b, n):
 
 def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     """ofo is idempotent, an associative string function, and a homomorphism
-    onto first-occurrence products: checked over all short strings."""
+    onto first-occurrence products: checked over all short strings.
+
+    Each string of length up to ``triple_total`` and its ofo image are formed
+    once, and the associativity loop forms ``u + ofo(v)`` and ``u + v`` once
+    per ``(u, v)``; every check still applies ``ofo`` to both sides of its
+    identity, in the order the loops run."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     # One check per string of each loop: up to max_len, then each split of a
@@ -809,12 +817,14 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
             checked += 1
             if ofo(ofo(t)) != ofo(t):
                 return checked, f"idempotence fails at {render_tuple(t)}"
+    strings = [[(t, ofo(t)) for t in product(range(k), repeat=length)]
+               for length in range(triple_total + 1)]
     for la in range(triple_total + 1):
         for lb in range(triple_total - la + 1):
-            for u in product(range(k), repeat=la):
-                for v in product(range(k), repeat=lb):
+            for u, ou in strings[la]:
+                for v, ov in strings[lb]:
                     checked += 1
-                    if ofo(ofo(u) + ofo(v)) != ofo(u + v):
+                    if ofo(ou + ov) != ofo(u + v):
                         return checked, (
                             f"product identity fails at u={render_tuple(u)}, "
                             f"v={render_tuple(v)}"
@@ -822,11 +832,12 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     for la in range(triple_total + 1):
         for lb in range(triple_total - la + 1):
             for lc in range(triple_total - la - lb + 1):
-                for u in product(range(k), repeat=la):
-                    for v in product(range(k), repeat=lb):
-                        for w in product(range(k), repeat=lc):
+                for u, _ in strings[la]:
+                    for v, ov in strings[lb]:
+                        left, whole = u + ov, u + v
+                        for w, _ in strings[lc]:
                             checked += 1
-                            if ofo(u + ofo(v) + w) != ofo(u + v + w):
+                            if ofo(left + w) != ofo(whole + w):
                                 return checked, (
                                     f"associativity fails at u={render_tuple(u)}, "
                                     f"v={render_tuple(v)}, w={render_tuple(w)}"
@@ -892,7 +903,10 @@ def _suite_ofo_factor_minors(k=2, b=2, n=4):
 
 def _suite_collapse_permutation(n=6):
     """The induced permutation on collapsed positions satisfies both of its
-    defining identities, for every (permutation, pair) up to arity ``n``."""
+    defining identities, for every (permutation, pair) up to arity ``n``.
+
+    Both sides of the first identity are read through getters built once:
+    one per collapse map of each arity and one per permutation."""
     _guard_suite("lemma-hatsigma", (
         math.factorial(arity) * math.comb(arity, 2) for arity in range(2, n + 1)
     ))
@@ -900,13 +914,15 @@ def _suite_collapse_permutation(n=6):
     for arity in range(2, n + 1):
         collapse = {pair: collapse_map(pair, arity).images
                     for pair in IndexPair.all_pairs(arity)}
+        # tau ∘ collapse[pre] and collapse[pair] ∘ sigma, as image tuples
+        after_pre = {pre: itemgetter(*d_pre) for pre, d_pre in collapse.items()}
         for sigma in Permutation.all_perms(arity):
+            after_sigma = itemgetter(*sigma.images)
             for pair, d_pair in collapse.items():
                 checked += 1
                 tau, pre = symmetry.collapse_permutation(sigma, pair)
-                lhs = tuple(tau.images[v] for v in collapse[pre])
-                rhs = tuple(d_pair[v] for v in sigma.images)
-                if lhs != rhs or tau.images[pre.lo] != pair.lo:
+                if (after_pre[pre](tau.images) != after_sigma(d_pair)
+                        or tau.images[pre.lo] != pair.lo):
                     return checked, (
                         f"n={arity}, sigma={sigma.one_line()}, pair={pair.render()}"
                     )

@@ -150,15 +150,20 @@ def compose_supp(f_prime: SuppTable, arity: int) -> FunctionTable:
     )
 
 
-def _decompose(f, key, domain, table_cls):
-    """Factor ``f`` through ``key`` into a ``table_cls`` over the keys
-    ``domain(k, min(n, k))``, or ``None`` if ``f`` is not constant on a fiber."""
+def _decompose(f, keys, values, domain, table_cls):
+    """Factor a table of ``f``'s shape through its per-tuple ``keys`` into a
+    ``table_cls`` over the keys ``domain(k, min(n, k))``, or ``None`` if
+    ``values`` (``None`` where undefined) is not constant on a fiber.
+
+    ``keys`` and ``values`` run over the tuples in index order.  The loop
+    stops at the first fiber that takes a second value, and the table is
+    built only for a factorization that holds."""
     k, b, n = f.domain_size, f.codomain_size, f.arity
     seen = {}
-    for t, v in zip(all_tuples(k, n), f.values):
+    for key, v in zip(keys, values):
         if v is None:
             continue
-        if seen.setdefault(key(t), v) != v:
+        if seen.setdefault(key, v) != v:
             return None
     max_size = min(n, k)
     entries = {}
@@ -180,13 +185,15 @@ def ofo_decompose(f):
     domain, else ``None``.  Keys whose fiber misses the domain get value 0 and
     are flagged unconstrained.  Accepts total and partial tables.
     """
-    return _decompose(f, ofo, _ofo_domain, OfoTable)
+    return _decompose(f, map(ofo, all_tuples(f.domain_size, f.arity)), f.values,
+                      _ofo_domain, OfoTable)
 
 
 def supp_decompose(f):
     """Factor ``f`` through ``supp`` if possible (same contract as
     :func:`ofo_decompose`, with symbol sets for keys)."""
-    return _decompose(f, frozenset, _supp_domain, SuppTable)
+    return _decompose(f, map(frozenset, all_tuples(f.domain_size, f.arity)), f.values,
+                      _supp_domain, SuppTable)
 
 
 def equiv_to_ofo_determined(f):
@@ -198,11 +205,19 @@ def equiv_to_ofo_determined(f):
     ``sigma``, or ``None``.  For a partial ``f`` (``None`` entries) the
     equation holds on the transported domain, and ``f_star`` flags the keys
     whose fiber misses it as unconstrained.
+
+    Each tuple's ofo word is formed once per call; each ``sigma`` reads the
+    table through its pull-back against those words, and only the returned
+    ``sigma`` gets its factor table built.
     """
-    for sigma in Permutation.all_perms(f.arity):
-        f_star = ofo_decompose(f.minor_by(sigma.inverse()))
+    k, n, values = f.domain_size, f.arity, f.values
+    words = [ofo(t) for t in all_tuples(k, n)]
+    for images in permutations(range(n)):
+        inverse = sorted(range(n), key=images.__getitem__)
+        permuted = map(values.__getitem__, pullback_remap(k, inverse, n))
+        f_star = _decompose(f, words, permuted, _ofo_domain, OfoTable)
         if f_star is not None:
-            return sigma, f_star
+            return Permutation(images), f_star
     return None
 
 

@@ -106,8 +106,8 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
         raise ValueError(f"pair {pair.render()} out of range for degree {n}")
     a, b = sigma.images.index(pair.lo), sigma.images.index(pair.hi)
     pre = IndexPair(min(a, b), max(a, b))
-    d_pre = _collapse_images(pre, n)
-    d_pair = _collapse_images(pair, n)
+    d_pre = _collapse_images(pre.lo, pre.hi, n)
+    d_pair = _collapse_images(pair.lo, pair.hi, n)
     images = [None] * (n - 1)
     for i in range(n):
         images[d_pre[i]] = d_pair[sigma.images[i]]

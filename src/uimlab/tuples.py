@@ -8,6 +8,7 @@ prints as ``(1,1,2)``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _perms
 from itertools import product as _product
 
@@ -258,12 +259,14 @@ def collapse_map(pair: IndexPair, n: int) -> IndexMap:
         raise ValueError(f"need arity >= 2, got {n}")
     if pair.hi >= n:
         raise ValueError(f"pair {pair.render()} out of range for arity {n}")
-    return IndexMap(n, n - 1, _collapse_images(pair, n))
+    return IndexMap(n, n - 1, _collapse_images(pair.lo, pair.hi, n))
 
 
-def _collapse_images(pair: IndexPair, n: int) -> tuple:
-    """The images of :func:`collapse_map`, for a pair already checked."""
-    return tuple(l if l < pair.hi else (pair.lo if l == pair.hi else l - 1) for l in range(n))
+@lru_cache(maxsize=256)
+def _collapse_images(lo: int, hi: int, n: int) -> tuple:
+    """The images of :func:`collapse_map` for the pair ``{lo, hi}``, already
+    checked; memoized, as an arity has only n(n-1)/2 of them."""
+    return tuple(l if l < hi else (lo if l == hi else l - 1) for l in range(n))
 
 
 def ofo(t):

@@ -6,13 +6,16 @@ the first, each equivalence found by searching permutations; its invariance
 group is S_n filtered by pulling the table back along each permutation.
 A table is ofo- (supp-) determined when inputs with the same ofo word
 (support) take the same value, and equivalent to an ofo-determined table
-when one of its n! pull-backs along an argument permutation is.  Undefined
+when one of its n! pull-backs along an argument permutation is; the least
+such permutation, with the factorization of that pull-back, is the witness
+:func:`uimlab.decomp.equiv_to_ofo_determined` returns.  Undefined
 entries of a partial table compare like values, so an invariant permutation
 also carries the domain onto itself.
 """
 
 from math import factorial
 
+from uimlab.decomp import ofo_decompose
 from uimlab.ftable import are_equivalent_same_arity, identification_minor
 from uimlab.symmetry import PermutationGroup, is_2_set_transitive
 from uimlab.tuples import (
@@ -74,3 +77,13 @@ def equiv_ofo_determined(f) -> bool:
         ))
         for sigma in Permutation.all_perms(n)
     )
+
+
+def ofo_witness(f):
+    """The least ``(sigma, f_star)``, sigmas in lexicographic order, with
+    ``f_star`` factoring ``f`` pulled back along ``sigma``'s inverse."""
+    for sigma in Permutation.all_perms(f.arity):
+        f_star = ofo_decompose(f.minor_by(sigma.inverse()))
+        if f_star is not None:
+            return sigma, f_star
+    return None

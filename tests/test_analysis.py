@@ -704,6 +704,61 @@ def test_lemma_hatsigma_suite_rejects_a_wrong_collapse_permutation(monkeypatch):
     assert report.counterexample == "n=3, sigma=[2,1,3], pair={1,3}"
 
 
+def _reversed_tau_at(sigma_images, pair):
+    collapse_permutation = symmetry.collapse_permutation
+
+    def planted(sigma, p):
+        tau, pre = collapse_permutation(sigma, p)
+        if (sigma.images, p) == (sigma_images, pair):
+            tau = Permutation(tau.images[::-1])
+        return tau, pre
+    return planted
+
+
+def _preimage_01_at_degree_4():
+    collapse_permutation = symmetry.collapse_permutation
+
+    def planted(sigma, p):
+        tau, pre = collapse_permutation(sigma, p)
+        if sigma.degree == 4 and sigma.images[0] == 0:
+            pre = IndexPair(0, 1)
+        return tau, pre
+    return planted
+
+
+# The first counterexample, and the checks made up to it, are those of the
+# loops as first written, before each check's fixed work was hoisted.
+@pytest.mark.parametrize("planted, checked, counterexample", [
+    (_reversed_tau_at((3, 0, 4, 1, 2), IndexPair(1, 3)), 930,
+     "n=5, sigma=[4,1,5,2,3], pair={2,4}"),
+    (_reversed_tau_at((5, 4, 3, 2, 1, 0), IndexPair(0, 5)), 12154,
+     "n=6, sigma=[6,5,4,3,2,1], pair={1,6}"),
+    (_preimage_01_at_degree_4(), 22, "n=4, sigma=[1,2,3,4], pair={1,3}"),
+])
+def test_lemma_hatsigma_suite_reports_its_first_counterexample(
+        monkeypatch, planted, checked, counterexample):
+    monkeypatch.setattr(symmetry, "collapse_permutation", planted)
+    report = verify_suite("lemma-hatsigma")
+    assert (report.checked, report.counterexample) == (checked, counterexample)
+
+
+@pytest.mark.parametrize("planted, params, checked, counterexample", [
+    (lambda t: (1, 0) if tuple(t) == (0, 1, 0) else ofo(t), {}, 1257,
+     "product identity fails at u=(1), v=(1,2,1)"),
+    (lambda t: ofo(tuple(t)[::-1]) if len(t) == 5 else ofo(t), {}, 1336,
+     "product identity fails at u=(1), v=(1,1,1,2)"),
+    (lambda t: (2,) if tuple(t) == (2, 1) else ofo(t), {"max_len": 1}, 40,
+     "product identity fails at u=(), v=(3,2,2)"),
+    (lambda t: ofo(t) + (0,) if len(t) == 3 else ofo(t), {}, 14,
+     "idempotence fails at (1,1,1)"),
+])
+def test_ofo_identities_suite_reports_its_first_counterexample(
+        monkeypatch, planted, params, checked, counterexample):
+    monkeypatch.setattr(analysis, "ofo", planted)
+    report = verify_suite("ofo-identities", **params)
+    assert (report.checked, report.counterexample) == (checked, counterexample)
+
+
 def test_classifier_guards_its_remap_size(monkeypatch):
     # 4! * 2**4 = 384 permutation remap entries
     monkeypatch.setattr(analysis, "REMAP_GUARD", 100)

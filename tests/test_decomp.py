@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import brute
 from uimlab.decomp import (
     OfoTable,
     SuppTable,
@@ -167,6 +168,39 @@ def test_equiv_to_ofo_determined_partial():
     for i, v in enumerate(pf.values):
         if v is not None:
             assert composed.values[i] == v
+
+
+def _permuted_ofo_table(rng, k, b, n):
+    """A seeded ofo-determined table with its arguments permuted."""
+    f_star = OfoTable.from_values(
+        k, b, min(n, k), [rng.randrange(b) for _ in _ofo_domain(k, min(n, k))])
+    return compose_ofo(f_star, n).minor_by(Permutation(rng.sample(range(n), n)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 2, 4), (3, 2, 4)])
+def test_equiv_to_ofo_determined_returns_the_brute_force_witness(shape):
+    k, b, n = shape
+    rng = random.Random(f"witness:{shape}")
+    tables = []
+    for _ in range(8):
+        tables.append(_permuted_ofo_table(rng, k, b, n))
+        tables.append(FunctionTable(k, b, n, tuple(rng.randrange(b) for _ in range(k**n))))
+    for f in list(tables):
+        tables.append(restrict_to_repeats(f))
+        holes = list(f.values)
+        for i in rng.sample(range(k**n), k**n // 3):
+            holes[i] = None
+        tables.append(FunctionTable(k, b, n, tuple(holes)))
+    def shown(witness):
+        if witness is None:
+            return None
+        sigma, f_star = witness
+        return sigma.images, f_star.entries, f_star.unconstrained
+
+    witnesses = [shown(equiv_to_ofo_determined(f)) for f in tables]
+    assert witnesses == [shown(brute.ofo_witness(f)) for f in tables]
+    # every table built from a permuted ofo table has a witness
+    assert sum(w is not None for w in witnesses) >= len(tables) // 2
 
 
 def test_anchored_equivalence_same_pair_is_identity():

@@ -119,6 +119,28 @@ def _tuple_getter(remap):
     return itemgetter(*remap)
 
 
+def _perm_remaps(k, n):
+    """``{sigma: pullback_remap(k, sigma, n)}`` for every permutation of
+    ``range(n)``, in lexicographic order.
+
+    Only the identity and the n-1 adjacent swaps are built directly.  Every
+    other sigma is an earlier sigma' (sigma with its first descent swapped)
+    followed by that swap, and its remap is sigma''s read through the swap's
+    remap, so its entries are the int objects of those few base lists."""
+    swaps = []
+    for i in range(n - 1):
+        images = list(range(n))
+        images[i], images[i + 1] = i + 1, i
+        swaps.append(pullback_remap(k, images, n))
+    perms = permutations(range(n))
+    remaps = {next(perms): list(range(k**n))}
+    for sig in perms:
+        i = next(j for j in range(n - 1) if sig[j] > sig[j + 1])
+        prev = sig[:i] + (sig[i + 1], sig[i]) + sig[i + 2:]
+        remaps[sig] = list(_tuple_getter(remaps[prev])(swaps[i]))
+    return remaps
+
+
 def _join(labels, remap):
     """The finest partition coarser than both ``labels`` and the cycles of
     ``remap``, a permutation of the positions.  A partition is a tuple of
@@ -147,11 +169,17 @@ class TableClassifier:
     The identification-minor and minor-permutation pull-backs are built once
     here as getters; a table has a unique identification minor exactly when
     every minor lies in the orbit of the first under argument permutations.
+    The permutation remaps, and those of the minor permutations, are
+    composed from the n-1 adjacent swaps' pull-backs (see
+    :func:`_perm_remaps`), so they share those lists' int objects.
     The ofo and supp fibers are flat lists of equality edges (first member,
     other member).  A table is equivalent to an ofo-determined one exactly
     when, read through a remap that gives a distinct permuted ofo system, it
-    is equal across every ofo edge.  One early-exit loop decides the three
-    fiber tests, the other two through the identity remap.
+    is equal across every ofo edge.  The systems are told apart by coset:
+    two permutations give the same system exactly when they differ by one
+    whose remap keeps the fibers, found by an early-exit label check.  One
+    early-exit loop decides the three fiber tests, the other two through the
+    identity remap.
 
     The n! permutations are split by the pair p onto which each sends
     {0, 1}, 2 * (n-2)! to a pair.  A table is 2-set-transitive exactly when,
@@ -183,8 +211,9 @@ class TableClassifier:
                 f"guard {REMAP_GUARD}"
             )
 
-        self.perms = list(permutations(range(n)))
-        self.perm_remaps = [pullback_remap(k, sig, n) for sig in self.perms]
+        remaps = _perm_remaps(k, n)
+        self.perms = list(remaps)
+        self.perm_remaps = list(remaps.values())
         self.pairs = list(IndexPair.all_pairs(n))
         # The 2 * (n-2)! permutations sending the pair {0, 1} onto each pair.
         pair_index = {frozenset((pair.lo, pair.hi)): p for p, pair in enumerate(self.pairs)}
@@ -199,10 +228,7 @@ class TableClassifier:
         # vector in that order back to table order.
         self.g_first = minor_maps[0] + sorted(set(range(self.size)) - set(minor_maps[0]))
         self.scatter = _tuple_getter(sorted(range(self.size), key=self.g_first.__getitem__))
-        self.sub_perms = [
-            _tuple_getter(pullback_remap(k, sig, n - 1))
-            for sig in permutations(range(n - 1))
-        ]
+        self.sub_perms = [_tuple_getter(r) for r in _perm_remaps(k, n - 1).values()]
 
         by_ofo = {}
         by_supp = {}
@@ -214,12 +240,34 @@ class TableClassifier:
         self.supp_edges = [(f[0], i) for f in by_supp.values() for i in f[1:]]
 
         # The first remap giving each distinct system of permuted ofo fibers,
-        # identity first; at k = 2 and n >= 3 only n of the n! differ.
-        systems = {}
-        for remap in self.perm_remaps:
-            key = frozenset(tuple(sorted(map(remap.__getitem__, f))) for f in fibers)
-            systems.setdefault(key, remap)
-        self.ofo_systems = list(systems.values())
+        # identity first; at k = 2 and n >= 3 only n of the n! differ.  The
+        # permutations h whose remaps carry each fiber of more than one input
+        # into one such fiber form a group H (the images then refine the
+        # fibers and are as many, so they are the fibers), and sigma gives
+        # the same system as exactly the h∘sigma.  So each system's first
+        # sigma is the first not in an earlier coset.
+        label = [None] * self.size
+        for f in fibers:
+            for x in f:
+                label[x] = f
+
+        def keeps_fibers(remap):
+            for f in fibers:
+                g = label[remap[f[0]]]
+                if g is None:
+                    return False
+                for x in f:
+                    if label[remap[x]] is not g:
+                        return False
+            return True
+
+        stabiliser = [h for h, r in zip(self.perms, self.perm_remaps) if keeps_fibers(r)]
+        covered = set()
+        self.ofo_systems = []
+        for sig, remap in zip(self.perms, self.perm_remaps):
+            if sig not in covered:
+                self.ofo_systems.append(remap)
+                covered.update(map(itemgetter(*sig), stabiliser))
         # The identity remap alone, for the two fiber tests that read ``vals``
         # as it is.
         self.identity_remaps = self.perm_remaps[:1]
@@ -929,35 +977,82 @@ def _suite_collapse_permutation(n=6):
     return checked, None
 
 
+def _fiber_determined_tables(ctx):
+    """``(tables, ofo, supp)``: the number of tables of ``ctx``'s shape, and
+    the ofo- and the supp-determined ones as ``(index, values)``, in index
+    order.
+
+    The tables are walked as a tree over positions, with no recursion, so
+    the interpreter's recursion limit does not bound the table size.  A prefix is tested, as it grows by position
+    x, on the ofo and supp edges whose later end is x; one that breaks an
+    edge of each list decides every table below it to be neither, and they
+    are counted without being formed."""
+    b, size = ctx.codomain_size, ctx.size
+    ofo_at = [[] for _ in range(size)]
+    supp_at = [[] for _ in range(size)]
+    for at, edges in ((ofo_at, ctx.ofo_edges), (supp_at, ctx.supp_edges)):
+        for i, j in edges:
+            at[j].append(i)
+    tables, ofo_det, supp_det = 0, [], []
+    vals = [0] * size
+    # Whether the prefix of length x keeps every ofo / supp edge within it.
+    ofo_ok = [True] * (size + 1)
+    supp_ok = [True] * (size + 1)
+    x = 0
+    while x >= 0:
+        v = vals[x]
+        if v == b:  # every value tried at x: back to the position before
+            x -= 1
+            if x >= 0:
+                vals[x] += 1
+            continue
+        ofo_ok[x + 1] = ofo_ok[x] and all(vals[i] == v for i in ofo_at[x])
+        supp_ok[x + 1] = supp_ok[x] and all(vals[i] == v for i in supp_at[x])
+        if not (ofo_ok[x + 1] or supp_ok[x + 1]):
+            tables += b ** (size - x - 1)
+        elif x + 1 < size:
+            x += 1
+            vals[x] = 0
+            continue
+        else:
+            tables += 1
+            table = (encode(vals, b), tuple(vals))
+            if ofo_ok[size]:
+                ofo_det.append(table)
+            if supp_ok[size]:
+                supp_det.append(table)
+        vals[x] += 1
+    return tables, ofo_det, supp_det
+
+
 def _suite_support_equivalences(k=2, b=2, n=4):
     """Above arity domain_size + 1, three table classes coincide: totally
     symmetric ofo-determined, 2-set-transitive ofo-determined, and
     supp-determined; and members admit anchored minor equivalences for every
-    pair of pairs."""
+    pair of pairs.
+
+    The space is decided by prefix (see :func:`_fiber_determined_tables`):
+    each table counts as one check, a table of a pruned subtree too, and
+    only the ofo-determined tables get :meth:`TableClassifier.invariance_summary`."""
     if n <= k + 1:
         raise ValueError(f"requires arity > domain_size + 1, got n={n}, k={k}")
-    tables = _whole_space(k, b, n)
+    _space_size(k, b, n)
     ctx = _classifier(k, b, n)
+    checked, ofo_det, supp_det = _fiber_determined_tables(ctx)
     ts_ofo = []
     tst_ofo = []
-    supp_det = {}
-    checked = 0
-    for index, vals in tables:
-        checked += 1
-        if ctx.ofo_determined(vals):
-            order, two_set = ctx.invariance_summary(vals)
-            if order == len(ctx.perms):
-                ts_ofo.append(index)
-            if two_set:
-                tst_ofo.append(index)
-        if ctx.supp_determined(vals):
-            supp_det[index] = vals
-    if not (ts_ofo == tst_ofo == list(supp_det)):
+    for index, vals in ofo_det:
+        order, two_set = ctx.invariance_summary(vals)
+        if order == len(ctx.perms):
+            ts_ofo.append(index)
+        if two_set:
+            tst_ofo.append(index)
+    if not (ts_ofo == tst_ofo == [index for index, _ in supp_det]):
         return checked, (
             f"class sizes differ: ts&ofo={len(ts_ofo)}, 2st&ofo={len(tst_ofo)}, "
             f"supp={len(supp_det)}"
         )
-    for index, vals in supp_det.items():
+    for index, vals in supp_det:
         f = FunctionTable(k, b, n, vals)
         for pair_i in IndexPair.all_pairs(n):
             for pair_j in IndexPair.all_pairs(n):

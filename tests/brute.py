@@ -10,7 +10,8 @@ when one of its n! pull-backs along an argument permutation is; the least
 such permutation, with the factorization of that pull-back, is the witness
 :func:`uimlab.decomp.equiv_to_ofo_determined` returns.  Undefined
 entries of a partial table compare like values, so an invariant permutation
-also carries the domain onto itself.
+also carries the domain onto itself.  The distinct systems of permuted ofo
+fibers are found by keying each remap's image of the fibers.
 """
 
 from math import factorial
@@ -87,3 +88,18 @@ def ofo_witness(f):
         if f_star is not None:
             return sigma, f_star
     return None
+
+
+def ofo_systems(k, n, remaps):
+    """The first of ``remaps`` (one per argument permutation, in order) that
+    gives each distinct system of permuted ofo fibers, keyed by the sorted
+    images of the fibers of more than one input."""
+    by_ofo = {}
+    for i, t in enumerate(all_tuples(k, n)):
+        by_ofo.setdefault(ofo(t), []).append(i)
+    fibers = [f for f in by_ofo.values() if len(f) > 1]
+    systems = {}
+    for remap in remaps:
+        key = frozenset(tuple(sorted(map(remap.__getitem__, f))) for f in fibers)
+        systems.setdefault(key, remap)
+    return list(systems.values())

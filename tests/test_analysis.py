@@ -5,7 +5,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -43,6 +43,7 @@ from uimlab.tuples import (
     decode,
     encode,
     ofo,
+    pullback_remap,
 )
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
@@ -226,8 +227,9 @@ def test_fiber_tests_agree_with_their_definitions(shape):
 
 @pytest.mark.parametrize(
     "shape",
-    [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (3, 2, 4), (4, 2, 3)],
-    ids=["k2n2", "k2n3", "k2n4", "k2n5", "k3n3", "k3n4", "k4n3"],
+    [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 3), (3, 2, 4), (4, 2, 3),
+     (3, 2, 5)],
+    ids=["k2n2", "k2n3", "k2n4", "k2n5", "k3n3", "k3n4", "k4n3", "k3n5"],
 )
 def test_one_ofo_system_per_distinct_permuted_ofo_partition(shape):
     k, _, n = shape
@@ -248,17 +250,54 @@ def test_one_ofo_system_per_distinct_permuted_ofo_partition(shape):
     assert all(any(r is remap for remap in ctx.perm_remaps) for r in ctx.ofo_systems)
 
 
-def test_classifier_build_peaks_below_8_mib():
-    # 5! remaps of 4**5 entries; each distinct permuted ofo system is kept
-    # as one of them, found through a key of sorted tuples (a key of
-    # frozensets of frozensets peaks near 14 MiB)
+# Arity 2 (one swap), domain size 1 (every remap the same one entry), no ofo
+# edge at (3,2,2), and the largest remaps the tests build.
+REMAP_SHAPES = [(1, 2, 2), (1, 2, 4), (2, 2, 2), (3, 2, 2), (2, 2, 6), (3, 2, 5), (4, 2, 5)]
+
+
+@pytest.mark.parametrize("shape", REMAP_SHAPES, ids=lambda s: "k{}b{}n{}".format(*s))
+def test_perm_remaps_built_by_composition_are_the_pullbacks(shape):
+    k, _, n = shape
+    ctx = TableClassifier(*shape)
+    assert ctx.perms == list(permutations(range(n)))
+    for s, sigma in enumerate(ctx.perms):
+        assert ctx.perm_remaps[s] == pullback_remap(k, sigma, n)
+    positions = tuple(range(k ** (n - 1)))
+    assert [perm(positions) for perm in ctx.sub_perms] == [
+        tuple(pullback_remap(k, sigma, n - 1)) for sigma in permutations(range(n - 1))
+    ]
+
+
+@pytest.mark.parametrize("shape", REMAP_SHAPES, ids=lambda s: "k{}b{}n{}".format(*s))
+def test_ofo_systems_by_coset_are_those_of_the_sorted_key_dict(shape):
+    k, _, n = shape
+    ctx = TableClassifier(*shape)
+    expected = brute.ofo_systems(k, n, ctx.perm_remaps)
+    assert len(ctx.ofo_systems) == len(expected)
+    assert all(got is want for got, want in zip(ctx.ofo_systems, expected))
+
+
+def test_classifier_build_peaks_below_3_mib():
+    # 5! remaps of 4**5 entries, composed from the 4 adjacent swaps' remaps
+    # and sharing their int objects; the distinct ofo systems are found by
+    # coset, with no key per permutation (measured about 1.5 MiB)
     tracemalloc.start()
     try:
         TableClassifier(4, 2, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 3 * 2**20
+
+
+def test_remap_entries_share_int_objects():
+    # each entry is an int of the identity's or one of the n-1 swaps' lists,
+    # not one of n! * k**n fresh ints
+    k, n = 4, 5
+    ctx = TableClassifier(k, 2, n)
+    entries = [x for remap in ctx.perm_remaps for x in remap]
+    assert len(entries) == math.factorial(n) * k**n
+    assert len({id(x) for x in entries}) <= n * k**n
 
 
 def test_refuters_of_every_pair_peak_below_8_mib():
@@ -1189,6 +1228,33 @@ def test_verify_suite_rejects_a_parameter_it_does_not_take():
 def test_verify_suite_requires_large_arity_for_support_equivalences():
     with pytest.raises(ValueError):
         verify_suite("prop-suppord", k=3, b=2, n=4)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 3, 2)],
+    ids=lambda s: "k{}b{}n{}".format(*s),
+)
+def test_prefix_walk_finds_the_tables_a_per_table_scan_finds(shape):
+    # prop-suppord's classes are read off the ofo-determined list, and its
+    # checks start from the count of tables walked
+    k, b, n = shape
+    ctx = TableClassifier(*shape)
+    ofo_det, supp_det = [], []
+    for index, vals in enumerate(product(range(b), repeat=k**n)):
+        if ctx.ofo_determined(vals):
+            ofo_det.append((index, vals))
+        if ctx.supp_determined(vals):
+            supp_det.append((index, vals))
+    assert analysis._fiber_determined_tables(ctx) == (b ** (k**n), ofo_det, supp_det)
+
+
+def test_support_equivalences_walk_a_table_deeper_than_the_recursion_limit():
+    # 4**6 positions; the one table is supp-determined, so 15**2 pairs of
+    # pairs follow it
+    assert 4**6 > sys.getrecursionlimit()
+    report = verify_suite("prop-suppord", k=4, b=1, n=6)
+    assert (report.passed, report.checked) == (True, 1 + math.comb(6, 2) ** 2)
 
 
 def test_suite_report_shape():

@@ -839,14 +839,24 @@ def _whole_space(k, b, n):
     return enumerate(product(range(b), repeat=k**n))
 
 
+class _OfoMemo(dict):
+    """``memo[t]`` is ``ofo(t)``, formed on the first request for ``t``;
+    ``ofo`` is looked up when it is called."""
+
+    def __missing__(self, t):
+        image = self[t] = ofo(t)
+        return image
+
+
 def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     """ofo is idempotent, an associative string function, and a homomorphism
     onto first-occurrence products: checked over all short strings.
 
-    Each string of length up to ``triple_total`` and its ofo image are formed
-    once, and the associativity loop forms ``u + ofo(v)`` and ``u + v`` once
-    per ``(u, v)``; every check still applies ``ofo`` to both sides of its
-    identity, in the order the loops run."""
+    The idempotence loop streams its strings and forms each ofo image once.
+    The product and associativity loops read ofo through one memo, so each
+    distinct string they compare is sent through ``ofo`` once, and the
+    associativity loop forms ``u + ofo(v)`` and ``u + v`` once per
+    ``(u, v)``; the checks are made in the order the loops run."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     # One check per string of each loop: up to max_len, then each split of a
@@ -863,16 +873,19 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     for length in range(max_len + 1):
         for t in product(range(k), repeat=length):
             checked += 1
-            if ofo(ofo(t)) != ofo(t):
+            image = ofo(t)
+            if ofo(image) != image:
                 return checked, f"idempotence fails at {render_tuple(t)}"
-    strings = [[(t, ofo(t)) for t in product(range(k), repeat=length)]
+    memo = _OfoMemo()
+    strings = [list(product(range(k), repeat=length))
                for length in range(triple_total + 1)]
     for la in range(triple_total + 1):
         for lb in range(triple_total - la + 1):
-            for u, ou in strings[la]:
-                for v, ov in strings[lb]:
+            for u in strings[la]:
+                ou = memo[u]
+                for v in strings[lb]:
                     checked += 1
-                    if ofo(ou + ov) != ofo(u + v):
+                    if memo[ou + memo[v]] != memo[u + v]:
                         return checked, (
                             f"product identity fails at u={render_tuple(u)}, "
                             f"v={render_tuple(v)}"
@@ -880,12 +893,12 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     for la in range(triple_total + 1):
         for lb in range(triple_total - la + 1):
             for lc in range(triple_total - la - lb + 1):
-                for u, _ in strings[la]:
-                    for v, ov in strings[lb]:
-                        left, whole = u + ov, u + v
-                        for w, _ in strings[lc]:
+                for u in strings[la]:
+                    for v in strings[lb]:
+                        left, whole = u + memo[v], u + v
+                        for w in strings[lc]:
                             checked += 1
-                            if ofo(left + w) != ofo(whole + w):
+                            if memo[left + w] != memo[whole + w]:
                                 return checked, (
                                     f"associativity fails at u={render_tuple(u)}, "
                                     f"v={render_tuple(v)}, w={render_tuple(w)}"
@@ -954,7 +967,9 @@ def _suite_collapse_permutation(n=6):
     defining identities, for every (permutation, pair) up to arity ``n``.
 
     Both sides of the first identity are read through getters built once:
-    one per collapse map of each arity and one per permutation."""
+    one per collapse map of each arity, keyed by its pair's ``(lo, hi)``,
+    and one per permutation.  ``collapse_permutation`` is called once per
+    (permutation, pair), in lexicographic order of both."""
     _guard_suite("lemma-hatsigma", (
         math.factorial(arity) * math.comb(arity, 2) for arity in range(2, n + 1)
     ))
@@ -963,13 +978,14 @@ def _suite_collapse_permutation(n=6):
         collapse = {pair: collapse_map(pair, arity).images
                     for pair in IndexPair.all_pairs(arity)}
         # tau ∘ collapse[pre] and collapse[pair] ∘ sigma, as image tuples
-        after_pre = {pre: itemgetter(*d_pre) for pre, d_pre in collapse.items()}
+        after_pre = {(pre.lo, pre.hi): itemgetter(*d_pre)
+                     for pre, d_pre in collapse.items()}
         for sigma in Permutation.all_perms(arity):
             after_sigma = itemgetter(*sigma.images)
             for pair, d_pair in collapse.items():
                 checked += 1
                 tau, pre = symmetry.collapse_permutation(sigma, pair)
-                if (after_pre[pre](tau.images) != after_sigma(d_pair)
+                if (after_pre[pre.lo, pre.hi](tau.images) != after_sigma(d_pair)
                         or tau.images[pre.lo] != pair.lo):
                     return checked, (
                         f"n={arity}, sigma={sigma.one_line()}, pair={pair.render()}"

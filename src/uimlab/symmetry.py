@@ -4,8 +4,9 @@ built by :func:`uimlab.analysis.invariance_group`.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .tuples import IndexPair, Permutation, _collapse_images
+from .tuples import IndexPair, Permutation, _collapse_images, _collapse_section
 
 __all__ = [
     "PermutationGroup",
@@ -86,6 +87,10 @@ def is_2_set_transitive(group: PermutationGroup) -> bool:
     return len(orbit) == n * (n - 1) // 2
 
 
+# The preimages collapse_permutation returns, one object per pair.
+_index_pair = lru_cache(maxsize=1024)(IndexPair)
+
+
 def collapse_permutation(sigma: Permutation, pair: IndexPair):
     """Push ``sigma`` through the pair-collapsing maps.
 
@@ -98,17 +103,19 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
     and sending the merged position of ``preimage`` (its minimum) to the
     merged position of ``pair``.  The ``lemma-hatsigma`` verification suite
     checks both identities.
+
+    ``tau`` is read off at the least preimage of each collapsed position
+    (a memoized section of ``collapse_map(preimage, n)``), and the
+    preimage is a memoized :class:`IndexPair`.
     """
-    n = sigma.degree
+    images = sigma.images
+    n = len(images)
     if n < 2:
         raise ValueError("need degree >= 2")
     if pair.hi >= n:
         raise ValueError(f"pair {pair.render()} out of range for degree {n}")
-    a, b = sigma.images.index(pair.lo), sigma.images.index(pair.hi)
-    pre = IndexPair(min(a, b), max(a, b))
-    d_pre = _collapse_images(pre.lo, pre.hi, n)
+    a, b = images.index(pair.lo), images.index(pair.hi)
+    lo, hi = (a, b) if a < b else (b, a)
     d_pair = _collapse_images(pair.lo, pair.hi, n)
-    images = [None] * (n - 1)
-    for i in range(n):
-        images[d_pre[i]] = d_pair[sigma.images[i]]
-    return Permutation(tuple(images)), pre
+    tau = Permutation(tuple([d_pair[images[i]] for i in _collapse_section(hi, n)]))
+    return tau, _index_pair(lo, hi)

@@ -84,7 +84,8 @@ class Permutation:
     images: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
+        if type(self.images) is not tuple:
+            object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation in one-line notation: {self.images}")
 
@@ -267,6 +268,14 @@ def _collapse_images(lo: int, hi: int, n: int) -> tuple:
     """The images of :func:`collapse_map` for the pair ``{lo, hi}``, already
     checked; memoized, as an arity has only n(n-1)/2 of them."""
     return tuple(l if l < hi else (lo if l == hi else l - 1) for l in range(n))
+
+
+@lru_cache(maxsize=256)
+def _collapse_section(hi: int, n: int) -> tuple:
+    """For each collapsed position, the least position that
+    :func:`_collapse_images` maps onto it.  Position ``lo`` is its own least
+    preimage, so the section does not depend on ``lo``."""
+    return tuple(j if j < hi else j + 1 for j in range(n - 1))
 
 
 def ofo(t):

@@ -11,7 +11,9 @@ such permutation, with the factorization of that pull-back, is the witness
 :func:`uimlab.decomp.equiv_to_ofo_determined` returns.  Undefined
 entries of a partial table compare like values, so an invariant permutation
 also carries the domain onto itself.  The distinct systems of permuted ofo
-fibers are found by keying each remap's image of the fibers.
+fibers are found by keying each remap's image of the fibers.  The
+permutation sigma induces on collapsed positions is written entry by entry
+through both collapse maps.
 """
 
 from math import factorial
@@ -24,6 +26,7 @@ from uimlab.tuples import (
     Permutation,
     all_tuples,
     apply_index_map,
+    collapse_map,
     encode,
     ofo,
     pullback_remap,
@@ -103,3 +106,18 @@ def ofo_systems(k, n, remaps):
         key = frozenset(tuple(sorted(map(remap.__getitem__, f))) for f in fibers)
         systems.setdefault(key, remap)
     return list(systems.values())
+
+
+def collapse_permutation(sigma, pair):
+    """``(tau, preimage)`` with ``tau`` sending ``d_pre(i)`` to
+    ``d_pair(sigma(i))`` for every position ``i``, where ``d_pre`` and
+    ``d_pair`` are the collapse maps of the preimage and of ``pair``."""
+    n = sigma.degree
+    a, b = sigma.images.index(pair.lo), sigma.images.index(pair.hi)
+    pre = IndexPair(min(a, b), max(a, b))
+    d_pre = collapse_map(pre, n).images
+    d_pair = collapse_map(pair, n).images
+    images = [None] * (n - 1)
+    for i in range(n):
+        images[d_pre[i]] = d_pair[sigma.images[i]]
+    return tuple(images), pre

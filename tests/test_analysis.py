@@ -798,6 +798,34 @@ def test_ofo_identities_suite_reports_its_first_counterexample(
     assert (report.checked, report.counterexample) == (checked, counterexample)
 
 
+def test_ofo_identities_suite_sends_each_string_through_ofo_once(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return ofo(t)
+
+    monkeypatch.setattr(analysis, "ofo", counted)
+    assert verify_suite("ofo-identities").passed
+    # two calls per string of length up to 4 in the idempotence loop (121),
+    # then one per string of length up to 6 (1,093): every product and
+    # associativity operand is such a string
+    assert len(calls) == 2 * 121 + 1093
+
+
+def test_ofo_identities_suite_streams_its_idempotence_loop():
+    tracemalloc.start()
+    try:
+        report = verify_suite("ofo-identities", k=2, max_len=16, triple_total=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2**17 - 1 strings up to length 16, then the empty string's
+    # product and associativity checks
+    assert report.passed and report.checked == 2**17 + 1
+    assert peak < 2**20
+
+
 def test_classifier_guards_its_remap_size(monkeypatch):
     # 4! * 2**4 = 384 permutation remap entries
     monkeypatch.setattr(analysis, "REMAP_GUARD", 100)

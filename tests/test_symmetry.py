@@ -137,6 +137,22 @@ def test_collapse_permutation_identities_exhaustive(n):
             assert tau.images[pre.lo] == pair.lo
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_collapse_permutation_equals_the_brute_force_loop(n):
+    for sigma in Permutation.all_perms(n):
+        for pair in IndexPair.all_pairs(n):
+            tau, pre = collapse_permutation(sigma, pair)
+            assert type(tau) is Permutation and type(pre) is IndexPair
+            assert (tau.images, pre) == brute.collapse_permutation(sigma, pair)
+
+
+def test_collapse_permutation_rejects_a_degree_below_2_or_a_pair_beyond_it():
+    with pytest.raises(ValueError, match="degree >= 2"):
+        collapse_permutation(Permutation.identity(1), IndexPair(0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        collapse_permutation(Permutation.identity(3), IndexPair(1, 3))
+
+
 @given(st.permutations(list(range(6))), st.data())
 def test_collapse_permutation_random(images, data):
     sigma = Permutation(tuple(images))

@@ -207,6 +207,19 @@ def test_permutation_validation():
         Permutation((0, 0))
     with pytest.raises(ValueError):
         Permutation((1, 2))
+    with pytest.raises(ValueError):
+        Permutation((0, 2, 1, 1))
+
+
+def test_permutation_stores_its_images_as_a_validated_tuple():
+    assert type(Permutation([2, 0, 1]).images) is tuple
+    assert Permutation([2, 0, 1]) == Permutation((2, 0, 1))
+    sigma = Permutation((2, 0, 3, 1))
+    for tau in (sigma.after(sigma), sigma.inverse()):
+        assert type(tau.images) is tuple
+        assert sorted(tau.images) == [0, 1, 2, 3]
+    assert sigma.after(sigma).images == (3, 2, 1, 0)
+    assert sigma.inverse().images == (1, 3, 0, 2)
 
 
 def test_permutation_rotation():

@@ -402,8 +402,8 @@ class TableClassifier:
         are those constant on the blocks of some final partition.  They are
         counted, with repeats, before any is built, and more than
         ``EXHAUSTIVE_GUARD`` is refused.  Each partition's tables come in
-        index order, since its blocks are numbered in order of first
-        occurrence, so one merge yields them all without holding them."""
+        index order (see :func:`_block_tables`), so one merge yields them all
+        without holding them."""
         partitions = {tuple(range(self.size))}
         for entries in self.pair_perm_entries[1:]:
             partitions = {
@@ -420,10 +420,7 @@ class TableClassifier:
                 f"the 2-set-transitive tables of ({self.domain_size}, {b}, "
                 f"{self.arity}) exceed the exhaustive guard {EXHAUSTIVE_GUARD}"
             )
-        merged = heapq.merge(*(
-            map(_tuple_getter(labels), product(range(b), repeat=max(labels) + 1))
-            for labels in partitions
-        ))
+        merged = heapq.merge(*(_block_tables(labels, b) for labels in partitions))
         return (vals for vals, _ in groupby(merged))
 
     def ofo_determined(self, vals) -> bool:
@@ -620,6 +617,16 @@ def _representative(values):
     return tuple(names.setdefault(v, len(names)) for v in values)
 
 
+def _block_tables(labels, b):
+    """Every table over ``range(b)`` constant on each block of ``labels``, a
+    partition of the table positions as block labels numbered in order of
+    first occurrence, in index order.  Two such tables first differ at the
+    first position of the first block whose values differ, as every earlier
+    position lies in an earlier block, so they are ordered as their block
+    values, which ``product`` yields in lexicographic order."""
+    return map(_tuple_getter(labels), product(range(b), repeat=max(labels) + 1))
+
+
 def _renamings(values, b):
     """Every table that :func:`_representative` maps to ``values``: its
     renamings onto ``r`` of the ``b`` output values, ``b!/(b-r)!`` of them."""
@@ -725,8 +732,7 @@ def search(domain_size: int, codomain_size: int, arity: int,
     g's completions, so g's orbit is built once for all of them, and so is
     each failing pair's list of the refuters that g's entries leave live
     for the NOT-UIM self-check (see :meth:`TableClassifier.search_category`).
-    Every
-    category is invariant under renaming, so a representative using
+    Every category is invariant under renaming, so a representative using
     r values counts for its b!/(b-r)! renamings, and an OTHER representative
     adds each renaming to the witnesses under its own ``table_index``;
     ``classified`` counts the tables covered.  Sampled mode draws
@@ -993,89 +999,45 @@ def _suite_collapse_permutation(n=6):
     return checked, None
 
 
-def _fiber_determined_tables(ctx):
-    """``(tables, ofo, supp)``: the number of tables of ``ctx``'s shape, and
-    the ofo- and the supp-determined ones as ``(index, values)``, in index
-    order.
-
-    The tables are walked as a tree over positions, with no recursion, so
-    the interpreter's recursion limit does not bound the table size.  A prefix is tested, as it grows by position
-    x, on the ofo and supp edges whose later end is x; one that breaks an
-    edge of each list decides every table below it to be neither, and they
-    are counted without being formed."""
-    b, size = ctx.codomain_size, ctx.size
-    ofo_at = [[] for _ in range(size)]
-    supp_at = [[] for _ in range(size)]
-    for at, edges in ((ofo_at, ctx.ofo_edges), (supp_at, ctx.supp_edges)):
-        for i, j in edges:
-            at[j].append(i)
-    tables, ofo_det, supp_det = 0, [], []
-    vals = [0] * size
-    # Whether the prefix of length x keeps every ofo / supp edge within it.
-    ofo_ok = [True] * (size + 1)
-    supp_ok = [True] * (size + 1)
-    x = 0
-    while x >= 0:
-        v = vals[x]
-        if v == b:  # every value tried at x: back to the position before
-            x -= 1
-            if x >= 0:
-                vals[x] += 1
-            continue
-        ofo_ok[x + 1] = ofo_ok[x] and all(vals[i] == v for i in ofo_at[x])
-        supp_ok[x + 1] = supp_ok[x] and all(vals[i] == v for i in supp_at[x])
-        if not (ofo_ok[x + 1] or supp_ok[x + 1]):
-            tables += b ** (size - x - 1)
-        elif x + 1 < size:
-            x += 1
-            vals[x] = 0
-            continue
-        else:
-            tables += 1
-            table = (encode(vals, b), tuple(vals))
-            if ofo_ok[size]:
-                ofo_det.append(table)
-            if supp_ok[size]:
-                supp_det.append(table)
-        vals[x] += 1
-    return tables, ofo_det, supp_det
-
-
 def _suite_support_equivalences(k=2, b=2, n=4):
     """Above arity domain_size + 1, three table classes coincide: totally
     symmetric ofo-determined, 2-set-transitive ofo-determined, and
     supp-determined; and members admit anchored minor equivalences for every
     pair of pairs.
 
-    The space is decided by prefix (see :func:`_fiber_determined_tables`):
-    each table counts as one check, a table of a pruned subtree too, and
-    only the ofo-determined tables get :meth:`TableClassifier.invariance_summary`."""
+    The ofo- and the supp-determined tables are formed directly, as the
+    tables constant on the fibers of ``ofo`` and of the support (see
+    :func:`_block_tables`), so every table of the space is decided and
+    counts as one check.  Only the ofo-determined tables get
+    :meth:`TableClassifier.invariance_summary`."""
     if n <= k + 1:
         raise ValueError(f"requires arity > domain_size + 1, got n={n}, k={k}")
-    _space_size(k, b, n)
+    checked = _space_size(k, b, n)
     ctx = _classifier(k, b, n)
-    checked, ofo_det, supp_det = _fiber_determined_tables(ctx)
+    words = list(all_tuples(k, n))
+    ofo_det = _block_tables(_representative(map(ofo, words)), b)
+    supp_det = list(_block_tables(_representative(map(frozenset, words)), b))
     ts_ofo = []
     tst_ofo = []
-    for index, vals in ofo_det:
+    for vals in ofo_det:
         order, two_set = ctx.invariance_summary(vals)
         if order == len(ctx.perms):
-            ts_ofo.append(index)
+            ts_ofo.append(vals)
         if two_set:
-            tst_ofo.append(index)
-    if not (ts_ofo == tst_ofo == [index for index, _ in supp_det]):
+            tst_ofo.append(vals)
+    if not (ts_ofo == tst_ofo == supp_det):
         return checked, (
             f"class sizes differ: ts&ofo={len(ts_ofo)}, 2st&ofo={len(tst_ofo)}, "
             f"supp={len(supp_det)}"
         )
-    for index, vals in supp_det:
+    for vals in supp_det:
         f = FunctionTable(k, b, n, vals)
         for pair_i in IndexPair.all_pairs(n):
             for pair_j in IndexPair.all_pairs(n):
                 checked += 1
                 if decomp.anchored_minor_equivalence(f, pair_i, pair_j) is None:
                     return checked, (
-                        f"table {index}: no anchored witness for "
+                        f"table {encode(vals, b)}: no anchored witness for "
                         f"{pair_i.render()}, {pair_j.render()}"
                     )
     return checked, None

@@ -92,10 +92,14 @@ class FunctionTable:
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} values, got {len(self.values)}")
         for v in self.values:
+            if isinstance(v, bool):
+                raise ValueError(f"value {v!r} is a bool, not an integer")
             if v is not None and not (isinstance(v, int) and 0 <= v < self.codomain_size):
                 raise ValueError(f"value {v!r} out of range 0..{self.codomain_size - 1}")
 
     def __call__(self, t):
+        if len(t) != self.arity:
+            raise ValueError(f"expected a tuple of length {self.arity}, got length {len(t)}")
         v = self.values[encode(t, self.domain_size)]
         if v is None:
             raise ValueError(f"table is undefined at {render_tuple(t)}")
@@ -250,13 +254,13 @@ def table_from_json_obj(obj, where: str = "table"):
     if not isinstance(obj, dict):
         raise TableFormatError(f"{where}: expected a JSON object")
     for key in ("domain_size", "codomain_size", "arity"):
-        if not isinstance(obj.get(key), int):
+        if type(obj.get(key)) is not int:  # JSON's true and false load as bools
             raise TableFormatError(f"{where}: missing or non-integer field {key!r}")
     values = obj.get("values")
     if not isinstance(values, list):
         raise TableFormatError(f"{where}: missing or non-list field 'values'")
     for i, v in enumerate(values):
-        if v is not None and not isinstance(v, int):
+        if v is not None and type(v) is not int:
             raise TableFormatError(f"{where}: values[{i}] is not an integer or null")
     try:
         return FunctionTable(

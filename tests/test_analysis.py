@@ -10,7 +10,7 @@ from itertools import permutations, product
 import pytest
 
 import brute
-from uimlab import analysis, construct, symmetry
+from uimlab import analysis, construct, decomp, symmetry
 from uimlab.analysis import (
     RestrictionSummary,
     TableClassifier,
@@ -1260,21 +1260,19 @@ def test_verify_suite_requires_large_arity_for_support_equivalences():
 
 @pytest.mark.parametrize(
     "shape",
-    [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 3, 2)],
+    [(2, 2, 3), (2, 2, 4), (2, 3, 3), (3, 2, 2), (3, 3, 2), (1, 3, 3)],
     ids=lambda s: "k{}b{}n{}".format(*s),
 )
-def test_prefix_walk_finds_the_tables_a_per_table_scan_finds(shape):
-    # prop-suppord's classes are read off the ofo-determined list, and its
-    # checks start from the count of tables walked
+def test_block_tables_of_the_fibers_are_the_tables_a_per_table_scan_finds(shape):
+    # prop-suppord forms its classes as the tables constant on the fibers of
+    # ofo and of the support, and counts every table of the space as checked
     k, b, n = shape
     ctx = TableClassifier(*shape)
-    ofo_det, supp_det = [], []
-    for index, vals in enumerate(product(range(b), repeat=k**n)):
-        if ctx.ofo_determined(vals):
-            ofo_det.append((index, vals))
-        if ctx.supp_determined(vals):
-            supp_det.append((index, vals))
-    assert analysis._fiber_determined_tables(ctx) == (b ** (k**n), ofo_det, supp_det)
+    words = list(all_tuples(k, n))
+    tables = list(product(range(b), repeat=k**n))
+    for fiber, determined in ((ofo, ctx.ofo_determined), (frozenset, ctx.supp_determined)):
+        labels = analysis._representative(map(fiber, words))
+        assert list(analysis._block_tables(labels, b)) == [t for t in tables if determined(t)]
 
 
 def test_support_equivalences_walk_a_table_deeper_than_the_recursion_limit():
@@ -1283,6 +1281,59 @@ def test_support_equivalences_walk_a_table_deeper_than_the_recursion_limit():
     assert 4**6 > sys.getrecursionlimit()
     report = verify_suite("prop-suppord", k=4, b=1, n=6)
     assert (report.passed, report.checked) == (True, 1 + math.comb(6, 2) ** 2)
+
+
+def _anchored_witness_fails_on(pair_i, pair_j, last_value):
+    real = decomp.anchored_minor_equivalence
+
+    def fake(f, p, q):
+        if (p.render(), q.render()) == (pair_i, pair_j) and f.values[-1] == last_value:
+            return None
+        return real(f, p, q)
+
+    return fake
+
+
+def _two_set_transitive_only_if_ends_agree():
+    real = TableClassifier.invariance_summary
+
+    def fake(ctx, vals):
+        order, two_set = real(ctx, vals)
+        return order, two_set and vals[0] == vals[-1]
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "target, fake, checked, counterexample",
+    [
+        (
+            (decomp, "anchored_minor_equivalence"),
+            lambda f, p, q: None,
+            2**16 + 1,
+            "table 0: no anchored witness for {1,2}, {1,2}",
+        ),
+        (
+            (decomp, "anchored_minor_equivalence"),
+            _anchored_witness_fails_on("{2,4}", "{1,3}", 1),
+            65598,
+            "table 1: no anchored witness for {2,4}, {1,3}",
+        ),
+        (
+            (TableClassifier, "invariance_summary"),
+            _two_set_transitive_only_if_ends_agree(),
+            2**16,
+            "class sizes differ: ts&ofo=8, 2st&ofo=4, supp=8",
+        ),
+    ],
+    ids=["no-witness", "one-witness-missing", "2st-misread"],
+)
+def test_support_equivalences_report_a_planted_fault(monkeypatch, target, fake, checked,
+                                                     counterexample):
+    monkeypatch.setattr(*target, fake)
+    report = verify_suite("prop-suppord")
+    assert (report.passed, report.checked, report.counterexample) == (
+        False, checked, counterexample)
 
 
 def test_suite_report_shape():

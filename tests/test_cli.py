@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -130,6 +131,26 @@ def test_classify_json_is_pinned(tmp_path, capsys, table, expected):
     assert capsys.readouterr().out == expected
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("minors",
+         '{"domain_size":2,"codomain_size":2,"arity":2,"values":[true,false,false,true]}',
+         "values[0] is not an integer or null"),
+        ("classify",
+         '{"domain_size":true,"codomain_size":2,"arity":2,"values":[0]}',
+         "missing or non-integer field 'domain_size'"),
+    ],
+    ids=["bool-values", "bool-domain-size"],
+)
+def test_table_file_with_a_json_bool_is_rejected(tmp_path, capsys, command, text, message):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert cli.main([command, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_classify_rejects_partial(tmp_path, capsys):
     path = tmp_path / "p.json"
     save_table(sporadic_partial_function(3, 2), path)
@@ -199,6 +220,18 @@ def test_malformed_table_file(tmp_path, capsys):
     assert cli.main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+
+
+def test_readme_suite_table_matches_the_suites():
+    # each row is | `name` | `param=value`, ... | what it replays |
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*?) \|", readme, re.MULTILINE)
+    documented = {name: {key: int(value) for key, value in re.findall(r"`(\w+)=(\d+)`", cell)}
+                  for name, cell in rows}
+    assert sorted(documented) == analysis.suite_names() and len(rows) == len(documented)
+    for name, defaults in documented.items():
+        params = inspect.signature(analysis._SUITES[name]).parameters.values()
+        assert defaults == {p.name: p.default for p in params}, name
 
 
 def test_verify_pass(capsys):

@@ -45,6 +45,12 @@ def test_table_call():
     assert MAJ3((1, 0, 0)) == 0
 
 
+@pytest.mark.parametrize("t", [(1,), (0, 1, 1)], ids=["short", "long"])
+def test_table_call_rejects_a_tuple_of_another_length(t):
+    with pytest.raises(ValueError, match=f"expected a tuple of length 2, got length {len(t)}"):
+        FunctionTable(2, 2, 2, (0, 1, 1, 0))(t)
+
+
 def test_table_holds_none_at_undefined_inputs():
     pf = FunctionTable(2, 2, 2, (0, None, None, 1))
     assert pf((0, 0)) == 0 and pf((1, 1)) == 1
@@ -55,6 +61,12 @@ def test_table_holds_none_at_undefined_inputs():
 @pytest.mark.parametrize("bad", [2, "x"])
 def test_table_with_none_still_rejects_bad_values(bad):
     with pytest.raises(ValueError, match="out of range"):
+        FunctionTable(2, 2, 2, (0, None, bad, 1))
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_table_rejects_a_bool_value(bad):
+    with pytest.raises(ValueError, match=f"value {bad} is a bool, not an integer"):
         FunctionTable(2, 2, 2, (0, None, bad, 1))
 
 
@@ -286,6 +298,11 @@ def test_canonical_dumps_is_stable():
         {"domain_size": 2, "codomain_size": 2, "arity": 2, "values": [0, 0, 0, 9]},
         {"domain_size": 2, "codomain_size": 2, "arity": "2", "values": [0, 0, 0, 0]},
         {"domain_size": 2, "codomain_size": 2, "arity": 2, "values": [0, 0, 0, "x"]},
+        {"domain_size": 2, "codomain_size": 2, "arity": 2, "values": [True, 0, 0, 1]},
+        {"domain_size": 2, "codomain_size": 2, "arity": 2, "values": [0, False, 0, 1]},
+        {"domain_size": True, "codomain_size": 2, "arity": 2, "values": [0]},
+        {"domain_size": 2, "codomain_size": True, "arity": 2, "values": [0, 0, 0, 0]},
+        {"domain_size": 2, "codomain_size": 2, "arity": True, "values": [0, 0]},
     ],
 )
 def test_table_from_json_obj_rejects(obj):

@@ -41,6 +41,7 @@ from .tuples import (
     decode,
     encode,
     ofo,
+    perm_remaps,
     pullback_remap,
     render_tuple,
 )
@@ -119,28 +120,6 @@ def _tuple_getter(remap):
     return itemgetter(*remap)
 
 
-def _perm_remaps(k, n):
-    """``{sigma: pullback_remap(k, sigma, n)}`` for every permutation of
-    ``range(n)``, in lexicographic order.
-
-    Only the identity and the n-1 adjacent swaps are built directly.  Every
-    other sigma is an earlier sigma' (sigma with its first descent swapped)
-    followed by that swap, and its remap is sigma''s read through the swap's
-    remap, so its entries are the int objects of those few base lists."""
-    swaps = []
-    for i in range(n - 1):
-        images = list(range(n))
-        images[i], images[i + 1] = i + 1, i
-        swaps.append(pullback_remap(k, images, n))
-    perms = permutations(range(n))
-    remaps = {next(perms): list(range(k**n))}
-    for sig in perms:
-        i = next(j for j in range(n - 1) if sig[j] > sig[j + 1])
-        prev = sig[:i] + (sig[i + 1], sig[i]) + sig[i + 2:]
-        remaps[sig] = list(_tuple_getter(remaps[prev])(swaps[i]))
-    return remaps
-
-
 def _join(labels, remap):
     """The finest partition coarser than both ``labels`` and the cycles of
     ``remap``, a permutation of the positions.  A partition is a tuple of
@@ -169,9 +148,10 @@ class TableClassifier:
     The identification-minor and minor-permutation pull-backs are built once
     here as getters; a table has a unique identification minor exactly when
     every minor lies in the orbit of the first under argument permutations.
-    The permutation remaps, and those of the minor permutations, are
-    composed from the n-1 adjacent swaps' pull-backs (see
-    :func:`_perm_remaps`), so they share those lists' int objects.
+    The permutation remaps, and those of the minor permutations, come from
+    :func:`~uimlab.tuples.perm_remaps`, which composes each from its
+    predecessor's and a lexicographic step's, so every entry is one of the
+    identity remap's int objects.
     The ofo and supp fibers are flat lists of equality edges (first member,
     other member).  A table is equivalent to an ofo-determined one exactly
     when, read through a remap that gives a distinct permuted ofo system, it
@@ -211,9 +191,9 @@ class TableClassifier:
                 f"guard {REMAP_GUARD}"
             )
 
-        remaps = _perm_remaps(k, n)
-        self.perms = list(remaps)
-        self.perm_remaps = list(remaps.values())
+        perms, remaps = zip(*perm_remaps(k, n))
+        self.perms = list(perms)
+        self.perm_remaps = list(remaps)
         self.pairs = list(IndexPair.all_pairs(n))
         # The 2 * (n-2)! permutations sending the pair {0, 1} onto each pair.
         pair_index = {frozenset((pair.lo, pair.hi)): p for p, pair in enumerate(self.pairs)}
@@ -228,7 +208,7 @@ class TableClassifier:
         # vector in that order back to table order.
         self.g_first = minor_maps[0] + sorted(set(range(self.size)) - set(minor_maps[0]))
         self.scatter = _tuple_getter(sorted(range(self.size), key=self.g_first.__getitem__))
-        self.sub_perms = [_tuple_getter(r) for r in _perm_remaps(k, n - 1).values()]
+        self.sub_perms = [_tuple_getter(r) for _, r in perm_remaps(k, n - 1)]
 
         by_ofo = {}
         by_supp = {}

@@ -18,6 +18,7 @@ from .tuples import (
     collapse_map,
     enumerate_repeat_free,
     ofo,
+    perm_remaps,
     pullback_remap,
     render_tuple,
 )
@@ -206,16 +207,16 @@ def equiv_to_ofo_determined(f):
     equation holds on the transported domain, and ``f_star`` flags the keys
     whose fiber misses it as unconstrained.
 
-    Each tuple's ofo word is formed once per call; each ``sigma`` reads the
-    table through its pull-back against those words, and only the returned
-    ``sigma`` gets its factor table built.
+    Each tuple's ofo word is formed once per call.  Each ``sigma`` reads the
+    words through its pull-back from :func:`~uimlab.tuples.perm_remaps`
+    against the unpermuted table, which pairs the same words and values as
+    reading the table through the pull-back of ``sigma``'s inverse; only the
+    returned ``sigma`` gets its factor table built.
     """
     k, n, values = f.domain_size, f.arity, f.values
     words = [ofo(t) for t in all_tuples(k, n)]
-    for images in permutations(range(n)):
-        inverse = sorted(range(n), key=images.__getitem__)
-        permuted = map(values.__getitem__, pullback_remap(k, inverse, n))
-        f_star = _decompose(f, words, permuted, _ofo_domain, OfoTable)
+    for images, remap in perm_remaps(k, n):
+        f_star = _decompose(f, map(words.__getitem__, remap), values, _ofo_domain, OfoTable)
         if f_star is not None:
             return Permutation(images), f_star
     return None

@@ -87,8 +87,11 @@ def is_2_set_transitive(group: PermutationGroup) -> bool:
     return len(orbit) == n * (n - 1) // 2
 
 
-# The preimages collapse_permutation returns, one object per pair.
+# The preimages and the tau that collapse_permutation returns, one object per
+# pair and one validated Permutation per distinct images tuple.  8192 holds
+# every tau of degree up to 7 (the sum of d! for d <= 7 is 5913).
 _index_pair = lru_cache(maxsize=1024)(IndexPair)
+_permutation = lru_cache(maxsize=8192)(Permutation)
 
 
 def collapse_permutation(sigma: Permutation, pair: IndexPair):
@@ -105,8 +108,9 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
     checks both identities.
 
     ``tau`` is read off at the least preimage of each collapsed position
-    (a memoized section of ``collapse_map(preimage, n)``), and the
-    preimage is a memoized :class:`IndexPair`.
+    (a memoized section of ``collapse_map(preimage, n)``) and built through
+    a memo, so each distinct tau is validated once and returned as the same
+    :class:`Permutation` after; the preimage is a memoized :class:`IndexPair`.
     """
     images = sigma.images
     n = len(images)
@@ -117,5 +121,5 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
     a, b = images.index(pair.lo), images.index(pair.hi)
     lo, hi = (a, b) if a < b else (b, a)
     d_pair = _collapse_images(pair.lo, pair.hi, n)
-    tau = Permutation(tuple([d_pair[images[i]] for i in _collapse_section(hi, n)]))
+    tau = _permutation(tuple([d_pair[images[i]] for i in _collapse_section(hi, n)]))
     return tau, _index_pair(lo, hi)

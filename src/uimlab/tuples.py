@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _perms
 from itertools import product as _product
+from operator import itemgetter
 
 __all__ = [
     "IndexMap",
@@ -25,6 +26,7 @@ __all__ = [
     "has_repeat",
     "ofo",
     "parse_tuple",
+    "perm_remaps",
     "pullback_remap",
     "render_tuple",
     "supp",
@@ -246,6 +248,47 @@ def pullback_remap(alphabet, images, target: int) -> list:
         steps = [d * w for d in range(k)]
         out = [x + y for x in out for y in steps]
     return out
+
+
+def perm_remaps(alphabet, n: int):
+    """Yield ``(sigma, pullback_remap(k, sigma, n))`` for every permutation
+    ``sigma`` of ``range(n)``, in lexicographic order, one at a time.
+
+    The next ``sigma`` in that order is ``sigma`` with positions ``i < j``
+    swapped and the positions after ``i`` reversed, that is ``sigma ∘ step``
+    for a ``step`` fixed by ``(i, j)``; so its remap is the step's remap read
+    at the entries of ``sigma``'s.  Each distinct step is pulled back once
+    per call and read through the identity list, so every entry yielded is
+    one of the identity's ``k**n`` int objects.  Only the current remap and
+    the step remaps, at most n(n-1)/2 of them, are held.
+
+    >>> [remap for _, remap in perm_remaps(2, 2)]
+    [[0, 1, 2, 3], [0, 2, 1, 3]]
+    """
+    identity = list(range(_size(alphabet) ** n))
+    sigma, remap = list(range(n)), identity
+    steps = {}
+    while True:
+        yield tuple(sigma), remap
+        i = n - 2
+        while i >= 0 and sigma[i] > sigma[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while sigma[j] < sigma[i]:
+            j -= 1
+        step = steps.get((i, j))
+        if step is None:
+            images = list(range(n))
+            images[i], images[j] = j, i
+            images[i + 1:] = reversed(images[i + 1:])
+            step = steps[i, j] = list(
+                map(identity.__getitem__, pullback_remap(alphabet, images, n)))
+        sigma[i], sigma[j] = sigma[j], sigma[i]
+        sigma[i + 1:] = reversed(sigma[i + 1:])
+        # itemgetter of a single index returns the bare entry (k = 1).
+        remap = list(itemgetter(*remap)(step)) if len(remap) > 1 else [step[remap[0]]]
 
 
 def collapse_map(pair: IndexPair, n: int) -> IndexMap:

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 
 import brute
+from uimlab.construct import sporadic_function, sporadic_partial_function
 from uimlab.decomp import (
     OfoTable,
     SuppTable,
@@ -177,7 +179,15 @@ def _permuted_ofo_table(rng, k, b, n):
     return compose_ofo(f_star, n).minor_by(Permutation(rng.sample(range(n), n)))
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 2, 4), (3, 2, 4)])
+def _shown(witness):
+    if witness is None:
+        return None
+    sigma, f_star = witness
+    return sigma.images, f_star.entries, f_star.unconstrained
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 2, 4), (3, 2, 4),
+                                   (1, 2, 3), (2, 2, 1), (4, 2, 3)])
 def test_equiv_to_ofo_determined_returns_the_brute_force_witness(shape):
     k, b, n = shape
     rng = random.Random(f"witness:{shape}")
@@ -186,21 +196,36 @@ def test_equiv_to_ofo_determined_returns_the_brute_force_witness(shape):
         tables.append(_permuted_ofo_table(rng, k, b, n))
         tables.append(FunctionTable(k, b, n, tuple(rng.randrange(b) for _ in range(k**n))))
     for f in list(tables):
-        tables.append(restrict_to_repeats(f))
+        if n >= 2:  # arity 1 has no repeat tuples to restrict to
+            tables.append(restrict_to_repeats(f))
         holes = list(f.values)
         for i in rng.sample(range(k**n), k**n // 3):
             holes[i] = None
         tables.append(FunctionTable(k, b, n, tuple(holes)))
-    def shown(witness):
-        if witness is None:
-            return None
-        sigma, f_star = witness
-        return sigma.images, f_star.entries, f_star.unconstrained
-
-    witnesses = [shown(equiv_to_ofo_determined(f)) for f in tables]
-    assert witnesses == [shown(brute.ofo_witness(f)) for f in tables]
+    witnesses = [_shown(equiv_to_ofo_determined(f)) for f in tables]
+    assert witnesses == [_shown(brute.ofo_witness(f)) for f in tables]
     # every table built from a permuted ofo table has a witness
     assert sum(w is not None for w in witnesses) >= len(tables) // 2
+
+
+@pytest.mark.parametrize("f", [sporadic_function(k) for k in (2, 3, 4)]
+                         + [sporadic_partial_function(k, m) for k, m in ((3, 2), (4, 3), (4, 2))],
+                         ids=["total2", "total3", "total4", "partial3-2", "partial4-3", "partial4-2"])
+def test_equiv_to_ofo_determined_on_the_sporadic_tables_is_the_brute_force_witness(f):
+    assert _shown(equiv_to_ofo_determined(f)) == _shown(brute.ofo_witness(f))
+
+
+def test_equiv_to_ofo_determined_peaks_below_half_a_mib():
+    # the words, the current sigma's remap and the step remaps, not one
+    # remap per sigma (measured about 0.22 MiB at (4,2,5))
+    f = sporadic_function(4)
+    tracemalloc.start()
+    try:
+        equiv_to_ofo_determined(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_anchored_equivalence_same_pair_is_identity():

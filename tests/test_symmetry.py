@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import brute
+from uimlab import symmetry
 from uimlab.analysis import invariance_group
 from uimlab.decomp import SuppTable, compose_supp
 from uimlab.ftable import FunctionTable, restrict_to_repeats
@@ -151,6 +152,22 @@ def test_collapse_permutation_rejects_a_degree_below_2_or_a_pair_beyond_it():
         collapse_permutation(Permutation.identity(1), IndexPair(0, 1))
     with pytest.raises(ValueError, match="out of range"):
         collapse_permutation(Permutation.identity(3), IndexPair(1, 3))
+
+
+def test_collapse_permutation_returns_one_tau_object_per_image():
+    taus = {}
+    for sigma in Permutation.all_perms(5):
+        for pair in IndexPair.all_pairs(5):
+            tau, _ = collapse_permutation(sigma, pair)
+            assert taus.setdefault(tau.images, tau) is tau
+    assert len(taus) == 24
+
+
+def test_collapse_permutation_validates_a_tau_it_has_not_seen(monkeypatch):
+    symmetry._permutation.cache_clear()
+    monkeypatch.setattr(symmetry, "_collapse_section", lambda hi, n: (0,) * (n - 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        collapse_permutation(Permutation((1, 2, 0)), IndexPair(0, 1))
 
 
 @given(st.permutations(list(range(6))), st.data())

@@ -1,4 +1,5 @@
 import doctest
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from uimlab.tuples import (
     has_repeat,
     ofo,
     parse_tuple,
+    perm_remaps,
     pullback_remap,
     render_tuple,
     supp,
@@ -106,6 +108,34 @@ def test_pullback_remap_examples():
     assert pullback_remap(2, (1, 0), 2) == [0, 2, 1, 3]
     with pytest.raises(ValueError):
         pullback_remap(2, (0, 2), 2)
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 1), (2, 2), (3, 3), (4, 3), (2, 5), (3, 4)])
+def test_perm_remaps_are_the_pullbacks_in_lexicographic_order(k, n):
+    assert list(perm_remaps(k, n)) == [
+        (sigma, pullback_remap(k, sigma, n)) for sigma in permutations(range(n))
+    ]
+
+
+def test_perm_remaps_builds_no_step_before_its_second_item(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pullback_remap(*args)
+
+    monkeypatch.setattr(tuples, "pullback_remap", counted)
+    remaps = perm_remaps(3, 4)
+    assert next(remaps) == ((0, 1, 2, 3), list(range(3**4)))
+    assert calls == []
+    # the step from (0,1,2,3) to (0,1,3,2) swaps the last two positions
+    assert next(remaps) == ((0, 1, 3, 2), pullback_remap(3, (0, 1, 3, 2), 4))
+    assert calls == [(3, [0, 1, 3, 2], 4)]
+    # each distinct step is pulled back once: at most n(n-1)/2 of them
+    for _ in remaps:
+        pass
+    assert len(calls) <= 4 * 3 // 2
+    assert len(set(map(repr, calls))) == len(calls)
 
 
 def test_collapse_map_examples():
@@ -296,4 +326,4 @@ def test_parse_tuple_names_a_non_integer_and_the_1_based_form():
 def test_tuples_doctests_pass():
     # The examples in the module's docstrings, run as part of the test suite.
     result = doctest.testmod(tuples)
-    assert (result.attempted, result.failed) == (5, 0)
+    assert (result.attempted, result.failed) == (6, 0)

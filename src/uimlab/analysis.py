@@ -24,11 +24,14 @@ import os
 import random
 import sys
 import time
-from collections import Counter
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import accumulate, chain, groupby, islice, permutations, product
+from itertools import (
+    accumulate, chain, compress, count, groupby, islice, permutations, product,
+)
 from multiprocessing import get_context
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from . import construct, decomp, ftable, symmetry
 from .ftable import TABLE_SIZE_GUARD, FunctionTable, canonical_dumps
@@ -36,7 +39,6 @@ from .tuples import (
     IndexPair,
     Permutation,
     all_tuples,
-    apply_index_map,
     collapse_map,
     decode,
     encode,
@@ -834,17 +836,116 @@ class _OfoMemo(dict):
         return image
 
 
+def _ofo_products(memo, us, vs):
+    """The product identity at each ``(u, v)`` of ``us`` × ``vs`` in turn,
+    read through ``memo``: the checks made and the first counterexample."""
+    made = 0
+    for u in us:
+        ou = memo[u]
+        for v in vs:
+            made += 1
+            if memo[ou + memo[v]] != memo[u + v]:
+                return made, (
+                    f"product identity fails at u={render_tuple(u)}, v={render_tuple(v)}"
+                )
+    return made, None
+
+
+def _ofo_associativity(memo, us, vs, ws):
+    """Associativity at each ``(u, v, w)`` of ``us`` × ``vs`` × ``ws`` in
+    turn, as :func:`_ofo_products` checks the product identity."""
+    made = 0
+    for u in us:
+        for v in vs:
+            left, whole = u + memo[v], u + v
+            for w in ws:
+                made += 1
+                if memo[left + w] != memo[whole + w]:
+                    return made, (
+                        f"associativity fails at u={render_tuple(u)}, "
+                        f"v={render_tuple(v)}, w={render_tuple(w)}"
+                    )
+    return made, None
+
+
+class _OfoImages:
+    """``ofo`` of every string over ``range(k)`` of length up to ``top``,
+    each string sent through ``ofo`` once, kept as one list of int keys.
+
+    A string's code is its position among them, shortest first and
+    lexicographic within a length: ``offsets[l] + index``.  ``images[c]`` is
+    the code of ``ofo`` of the string coded ``c``, or, for an image that is
+    not such a string, a negative number of its own; so two keys are equal
+    exactly when the images are, and the strings ``p + x + w`` for a fixed
+    ``p`` and lengths of ``x`` and ``w`` are one slice of ``images``."""
+
+    def __init__(self, k, top):
+        self.counts = [k**length for length in range(top + 1)]
+        self.offsets = list(accumulate(self.counts, initial=0))
+        codes = dict(zip(chain.from_iterable(
+            product(range(k), repeat=length) for length in range(top + 1)), count()))
+        others = {}
+
+        def key(image):
+            code = codes.get(image)
+            return others.setdefault(image, -1 - len(others)) if code is None else code
+
+        self.images = list(map(key, map(ofo, codes)))
+
+    def middles(self, length):
+        """The keys of ``ofo(v)`` for every ``v`` of ``length`` and the
+        length of the longest image, or ``None`` unless each image is a
+        string no longer than ``length``."""
+        keys = self.images[self.offsets[length]:self.offsets[length + 1]]
+        if 0 <= min(keys) and max(keys) < self.offsets[length + 1]:
+            return keys, bisect_right(self.offsets, max(keys)) - 1
+        return None
+
+    def spliced(self, length, index, reads, most, last):
+        """The keys of ``ofo(p + x + w)``, ``x``-major: ``p`` is the string of
+        ``length`` and ``index``, ``x`` runs over the strings read by
+        ``reads`` (see :func:`_cuts`), none longer than ``most``, and ``w``
+        over the strings of length ``last``.  Needs ``length + most + last``
+        at most ``top``."""
+        counts, offsets, images = self.counts, self.offsets, self.images
+        # spliced[code(x) * counts[last] + index(w)] is the key of p + x + w
+        spliced = []
+        for mid in range(most + 1):
+            size = counts[mid + last]
+            start = offsets[length + mid + last] + index * size
+            spliced += images[start:start + size]
+        if counts[last] == 1:
+            return list(map(spliced.__getitem__, reads))
+        return list(chain.from_iterable(map(spliced.__getitem__, reads)))
+
+
+def _cuts(codes, width):
+    """What :meth:`_OfoImages.spliced` reads for the strings ``x`` coded
+    ``codes``, each followed by the ``width`` strings ``w`` of one length."""
+    if width == 1:
+        return codes
+    return [slice(c * width, c * width + width) for c in codes]
+
+
 def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     """ofo is idempotent, an associative string function, and a homomorphism
     onto first-occurrence products: checked over all short strings.
 
     The idempotence loop streams its strings and forms each ofo image once.
-    The product and associativity loops read ofo through one memo, so each
-    distinct string they compare is sent through ``ofo`` once, and the
-    associativity loop forms ``u + ofo(v)`` and ``u + v`` once per
-    ``(u, v)``; the checks are made in the order the loops run."""
+    The product and associativity loops send each string up to
+    ``triple_total`` through ``ofo`` once (:class:`_OfoImages`) and compare
+    a row at a time: for one ``u``, the keys of ``ofo(ofo(u) + ofo(v))``
+    over every ``v``, or of ``ofo(u + ofo(v) + w)`` over every ``(v, w)``,
+    as one list against a slice of the keys of ``ofo(u + v)`` or
+    ``ofo(u + v + w)``.  At ``v = ()`` one row covers every ``u``.  A row
+    that differs, or that runs outside the coded strings, is checked again
+    one ``(u, v, w)`` at a time through an ``ofo`` memo, which names the
+    first counterexample; the checks are counted in that loop order."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
+    for name, length in (("max_len", max_len), ("triple_total", triple_total)):
+        if length < 0:
+            raise ValueError(f"{name} must be >= 0, got {length}")
     # One check per string of each loop: up to max_len, then each split of a
     # total length s <= triple_total into two parts and into three.  Every
     # term is at least 1, so the loops' lengths bound the checks from below
@@ -862,40 +963,76 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
             image = ofo(t)
             if ofo(image) != image:
                 return checked, f"idempotence fails at {render_tuple(t)}"
+    top = triple_total
+    coded = _OfoImages(k, top)
+    images, offsets, counts = coded.images, coded.offsets, coded.counts
     memo = _OfoMemo()
-    strings = [list(product(range(k), repeat=length))
-               for length in range(triple_total + 1)]
-    for la in range(triple_total + 1):
-        for lb in range(triple_total - la + 1):
-            for u in strings[la]:
-                ou = memo[u]
-                for v in strings[lb]:
-                    checked += 1
-                    if memo[ou + memo[v]] != memo[u + v]:
-                        return checked, (
-                            f"product identity fails at u={render_tuple(u)}, "
-                            f"v={render_tuple(v)}"
-                        )
-    for la in range(triple_total + 1):
-        for lb in range(triple_total - la + 1):
-            for lc in range(triple_total - la - lb + 1):
-                for u in strings[la]:
-                    for v in strings[lb]:
-                        left, whole = u + memo[v], u + v
-                        for w in strings[lc]:
-                            checked += 1
-                            if memo[left + w] != memo[whole + w]:
-                                return checked, (
-                                    f"associativity fails at u={render_tuple(u)}, "
-                                    f"v={render_tuple(v)}, w={render_tuple(w)}"
-                                )
+    strings = {}
+
+    def of_length(length):
+        if length not in strings:
+            strings[length] = list(product(range(k), repeat=length))
+        return strings[length]
+
+    # ofo(()) is (): at v = () the rows of every u are one row
+    empty_fixed = images[0] == 0
+    for la in range(top + 1):
+        ous = images[offsets[la]:offsets[la + 1]]
+        for lb in range(top - la + 1):
+            width, base = counts[lb], offsets[la + lb]
+            if (lb == 0 and empty_fixed and 0 <= min(ous) and max(ous) < offsets[la + 1]
+                    and coded.spliced(0, 0, ous, la, 0) == images[base:base + counts[la]]):
+                checked += counts[la]
+                continue
+            middles, most = coded.middles(lb) or (None, None)
+            for iu, ou in enumerate(ous):
+                if middles is not None and ou >= 0:
+                    lo = bisect_right(offsets, ou) - 1
+                    if (lo + most <= top and coded.spliced(lo, ou - offsets[lo], middles, most, 0)
+                            == images[base + iu * width:base + iu * width + width]):
+                        checked += width
+                        continue
+                made, failure = _ofo_products(memo, [of_length(la)[iu]], of_length(lb))
+                checked += made
+                if failure:
+                    return checked, failure
+    for la in range(top + 1):
+        for lb in range(top - la + 1):
+            middles, most = coded.middles(lb) or (None, None)
+            for lc in range(top - la - lb + 1):
+                width, base = counts[lb] * counts[lc], offsets[la + lb + lc]
+                if lb == 0 and empty_fixed and coded.spliced(
+                        0, 0, _cuts(range(offsets[la], offsets[la + 1]), counts[lc]), la, lc
+                ) == images[base:base + counts[la] * width]:
+                    checked += counts[la] * width
+                    continue
+                reads = None if middles is None else _cuts(middles, counts[lc])
+                for iu in range(counts[la]):
+                    if reads is not None and coded.spliced(la, iu, reads, most, lc) == (
+                            images[base + iu * width:base + iu * width + width]):
+                        checked += width
+                        continue
+                    made, failure = _ofo_associativity(
+                        memo, [of_length(la)[iu]], of_length(lb), of_length(lc))
+                    checked += made
+                    if failure:
+                        return checked, failure
     return checked, None
 
 
 def _suite_collapse_insertion(k=3, n=5):
     """Collapsing inserts a repeat after a first occurrence, so it never
     changes the ofo image; over every domain size up to ``k`` and arity up
-    to ``n``."""
+    to ``n``.
+
+    Each pair is one compare over the shorter tuples ``t``: the words of
+    ``t`` collapsed along the pair against the words of ``t``, stopped at
+    the first unequal entry, which names the counterexample and the checks
+    made up to it.  Where the longer tuples are no more than the checks of
+    their arity and domain size, and at most 2**16, their words are formed
+    once for all pairs, as one int per distinct word, and each pair reads
+    them through the collapse's pull-back; otherwise each pair forms the
+    words it compares as it goes, and nothing is held."""
     _guard_suite("lemma-ofodeltaI", (
         math.comb(arity, 2) * domain_size ** (arity - 1)
         for arity in range(2, n + 1)
@@ -904,15 +1041,30 @@ def _suite_collapse_insertion(k=3, n=5):
     checked = 0
     for arity in range(2, n + 1):
         for domain_size in range(1, k + 1):
+            held = (domain_size <= math.comb(arity, 2)
+                    and domain_size**arity <= 1 << 16)
+            if held:
+                code = defaultdict(count().__next__)
+                words = list(map(code.__getitem__, map(ofo, all_tuples(domain_size, arity))))
+                expected = list(map(code.__getitem__,
+                                    map(ofo, all_tuples(domain_size, arity - 1))))
             for pair in IndexPair.all_pairs(arity):
-                dm = collapse_map(pair, arity)
-                for t in all_tuples(domain_size, arity - 1):
-                    checked += 1
-                    if ofo(t) != ofo(apply_index_map(t, dm)):
-                        return checked, (
-                            f"k={domain_size}, n={arity}, pair={pair.render()}, "
-                            f"t={render_tuple(t)}"
-                        )
+                images = collapse_map(pair, arity).images
+                if held:
+                    collapsed = map(words.__getitem__,
+                                    pullback_remap(domain_size, images, arity - 1))
+                    shorter = expected
+                else:
+                    collapsed = map(ofo, map(itemgetter(*images),
+                                             all_tuples(domain_size, arity - 1)))
+                    shorter = map(ofo, all_tuples(domain_size, arity - 1))
+                at = next(compress(count(), map(ne, collapsed, shorter)), None)
+                if at is not None:
+                    return checked + at + 1, (
+                        f"k={domain_size}, n={arity}, pair={pair.render()}, "
+                        f"t={render_tuple(decode(at, arity - 1, domain_size))}"
+                    )
+                checked += domain_size ** (arity - 1)
     return checked, None
 
 
@@ -952,26 +1104,35 @@ def _suite_collapse_permutation(n=6):
     """The induced permutation on collapsed positions satisfies both of its
     defining identities, for every (permutation, pair) up to arity ``n``.
 
-    Both sides of the first identity are read through getters built once:
-    one per collapse map of each arity, keyed by its pair's ``(lo, hi)``,
-    and one per permutation.  ``collapse_permutation`` is called once per
-    (permutation, pair), in lexicographic order of both."""
+    Each permutation is checked a row at a time: ``collapse_permutations``
+    gives its tau and preimage for every pair, and both sides of each
+    identity are compared as one list over the pairs, read through getters
+    built once per collapse map of an arity and once per permutation.  Only
+    a row that differs is walked again, pair by pair, to name its first
+    failing pair; the checks are counted in the order of that walk."""
     _guard_suite("lemma-hatsigma", (
         math.factorial(arity) * math.comb(arity, 2) for arity in range(2, n + 1)
     ))
     checked = 0
     for arity in range(2, n + 1):
-        collapse = {pair: collapse_map(pair, arity).images
-                    for pair in IndexPair.all_pairs(arity)}
-        # tau ∘ collapse[pre] and collapse[pair] ∘ sigma, as image tuples
-        after_pre = {(pre.lo, pre.hi): itemgetter(*d_pre)
-                     for pre, d_pre in collapse.items()}
+        pairs = list(IndexPair.all_pairs(arity))
+        collapse = [collapse_map(pair, arity).images for pair in pairs]
+        merged = [pair.lo for pair in pairs]
+        # tau ∘ collapse[pre], looked up at [pre.lo][pre.hi]
+        after_pre = [[None] * arity for _ in range(arity)]
+        for pair, d_pair in zip(pairs, collapse):
+            after_pre[pair.lo][pair.hi] = itemgetter(*d_pair)
         for sigma in Permutation.all_perms(arity):
+            row = symmetry.collapse_permutations(sigma)
             after_sigma = itemgetter(*sigma.images)
-            for pair, d_pair in collapse.items():
+            if ([after_pre[pre.lo][pre.hi](tau.images) for tau, pre in row]
+                    == list(map(after_sigma, collapse))
+                    and [tau.images[pre.lo] for tau, pre in row] == merged):
+                checked += len(pairs)
+                continue
+            for (tau, pre), pair, d_pair in zip(row, pairs, collapse, strict=True):
                 checked += 1
-                tau, pre = symmetry.collapse_permutation(sigma, pair)
-                if (after_pre[pre.lo, pre.hi](tau.images) != after_sigma(d_pair)
+                if (after_pre[pre.lo][pre.hi](tau.images) != after_sigma(d_pair)
                         or tau.images[pre.lo] != pair.lo):
                     return checked, (
                         f"n={arity}, sigma={sigma.one_line()}, pair={pair.render()}"

@@ -14,8 +14,8 @@ from .ftable import FunctionTable, TableFormatError
 from .tuples import (
     IndexPair,
     Permutation,
+    _collapse_images,
     all_tuples,
-    collapse_map,
     enumerate_repeat_free,
     ofo,
     perm_remaps,
@@ -231,25 +231,31 @@ def anchored_minor_equivalence(f, pair_i: IndexPair, pair_j: IndexPair):
     with ``f`` at ``a`` collapsed along ``pair_i`` equal to ``f`` at ``a``
     permuted by ``pi`` and collapsed along ``pair_j``, for every ``a``; or
     ``None``.
+
+    Each candidate reads ``f`` through one pull-back, of ``pi`` after the
+    collapse along ``pair_j``.  The collapse images come from the memo in
+    :mod:`uimlab.tuples`, so a call builds no :class:`IndexMap`.
     """
     n, k = f.arity, f.domain_size
     if n < 2:
         raise ValueError("needs arity >= 2")
-    d_j = collapse_map(pair_j, n)
+    for pair in (pair_j, pair_i):
+        if pair.hi >= n:
+            raise ValueError(f"pair {pair.render()} out of range for arity {n}")
     values = f.values
 
     def pulled_back(images):
         return tuple(map(values.__getitem__, pullback_remap(k, images, n - 1)))
 
-    lhs = pulled_back(collapse_map(pair_i, n).images)
+    lhs = pulled_back(_collapse_images(pair_i.lo, pair_i.hi, n))
+    d_j = _collapse_images(pair_j.lo, pair_j.hi, n)
     positions = [p for p in range(n - 1) if p != pair_j.lo]
     candidates = [v for v in range(n - 1) if v != pair_i.lo]
     for combo in permutations(candidates):
-        im = [0] * (n - 1)
-        im[pair_j.lo] = pair_i.lo
+        im = [pair_i.lo] * (n - 1)
         for p, v in zip(positions, combo):
             im[p] = v
-        if pulled_back([im[x] for x in d_j.images]) == lhs:
+        if pulled_back([im[x] for x in d_j]) == lhs:
             return Permutation(tuple(im))
     return None
 

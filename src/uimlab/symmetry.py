@@ -1,16 +1,20 @@
 """Permutation groups, 2-set-transitivity of a group, and the permutation
-induced on collapsed argument positions.  A table's invariance group is
-built by :func:`uimlab.analysis.invariance_group`.
+induced on collapsed argument positions: :func:`collapse_permutation` for
+one pair, :func:`collapse_permutations` for every pair of one permutation.
+A table's invariance group is built by
+:func:`uimlab.analysis.invariance_group`.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .tuples import IndexPair, Permutation, _collapse_images, _collapse_section
 
 __all__ = [
     "PermutationGroup",
     "collapse_permutation",
+    "collapse_permutations",
     "is_2_set_transitive",
 ]
 
@@ -87,11 +91,57 @@ def is_2_set_transitive(group: PermutationGroup) -> bool:
     return len(orbit) == n * (n - 1) // 2
 
 
-# The preimages and the tau that collapse_permutation returns, one object per
-# pair and one validated Permutation per distinct images tuple.  8192 holds
-# every tau of degree up to 7 (the sum of d! for d <= 7 is 5913).
-_index_pair = lru_cache(maxsize=1024)(IndexPair)
+# The tau that collapse_permutation(s) return, one validated Permutation per
+# distinct images tuple.  8192 holds every tau of degree up to 7 (the sum of
+# d! for d <= 7 is 5913).
 _permutation = lru_cache(maxsize=8192)(Permutation)
+
+
+@lru_cache(maxsize=256)
+def _getter(positions: tuple):
+    """Reads a tuple at ``positions``, as a tuple also for one position."""
+    if len(positions) == 1:
+        (j,) = positions
+        return lambda t: (t[j],)
+    return itemgetter(*positions)
+
+
+@lru_cache(maxsize=64)
+def _collapse_rows(n: int) -> tuple:
+    """``(lo, hi, collapse images)`` for every pair of degree ``n``, in
+    :meth:`IndexPair.all_pairs` order."""
+    return tuple((p.lo, p.hi, _collapse_images(p.lo, p.hi, n)) for p in IndexPair.all_pairs(n))
+
+
+@lru_cache(maxsize=64)
+def _preimages(n: int) -> list:
+    """``_preimages(n)[lo][hi]`` is ``IndexPair(lo, hi)``, one object per
+    pair of degree ``n``."""
+    return [[IndexPair(lo, hi) if lo < hi else None for hi in range(n)] for lo in range(n)]
+
+
+def _collapse_taus(sigma: Permutation, rows) -> list:
+    """``(tau, preimage)`` of :func:`collapse_permutation` for each pair
+    ``(lo, hi, collapse images)`` of ``rows``.  ``sigma``'s inverse, the
+    getter of its images and the section getter of each collapsed position
+    are formed once for all of them."""
+    images = sigma.images
+    n = len(images)
+    where = [0] * n
+    for i, v in enumerate(images):
+        where[v] = i
+    after_sigma = itemgetter(*images)
+    # read[hi] takes d_pair ∘ sigma at the least preimage of each collapsed
+    # position of a preimage whose larger member is hi
+    read = [_getter(_collapse_section(hi, n)) for hi in range(n)]
+    preimages = _preimages(n)
+    out = []
+    for lo, hi, d_pair in rows:
+        a, b = where[lo], where[hi]
+        if a > b:
+            a, b = b, a
+        out.append((_permutation(read[b](after_sigma(d_pair))), preimages[a][b]))
+    return out
 
 
 def collapse_permutation(sigma: Permutation, pair: IndexPair):
@@ -112,14 +162,20 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
     a memo, so each distinct tau is validated once and returned as the same
     :class:`Permutation` after; the preimage is a memoized :class:`IndexPair`.
     """
-    images = sigma.images
-    n = len(images)
+    n = sigma.degree
     if n < 2:
         raise ValueError("need degree >= 2")
     if pair.hi >= n:
         raise ValueError(f"pair {pair.render()} out of range for degree {n}")
-    a, b = images.index(pair.lo), images.index(pair.hi)
-    lo, hi = (a, b) if a < b else (b, a)
-    d_pair = _collapse_images(pair.lo, pair.hi, n)
-    tau = _permutation(tuple([d_pair[images[i]] for i in _collapse_section(hi, n)]))
-    return tau, _index_pair(lo, hi)
+    (out,) = _collapse_taus(sigma, [(pair.lo, pair.hi, _collapse_images(pair.lo, pair.hi, n))])
+    return out
+
+
+def collapse_permutations(sigma: Permutation) -> list:
+    """``collapse_permutation(sigma, pair)`` for every pair of ``sigma``'s
+    degree, in :meth:`IndexPair.all_pairs` order, from one inverse of
+    ``sigma`` and one getter of its images."""
+    n = sigma.degree
+    if n < 2:
+        raise ValueError("need degree >= 2")
+    return _collapse_taus(sigma, _collapse_rows(n))

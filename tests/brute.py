@@ -13,9 +13,12 @@ entries of a partial table compare like values, so an invariant permutation
 also carries the domain onto itself.  The distinct systems of permuted ofo
 fibers are found by keying each remap's image of the fibers.  The
 permutation sigma induces on collapsed positions is written entry by entry
-through both collapse maps.
+through both collapse maps.  The anchored minor equivalence and three of the
+verification suites are the loops they were before they were made to read a
+row at a time: one check, or one candidate, per step.
 """
 
+from itertools import permutations, product
 from math import factorial
 
 from uimlab.decomp import ofo_decompose
@@ -30,6 +33,7 @@ from uimlab.tuples import (
     encode,
     ofo,
     pullback_remap,
+    render_tuple,
 )
 
 
@@ -121,3 +125,96 @@ def collapse_permutation(sigma, pair):
     for i in range(n):
         images[d_pre[i]] = d_pair[sigma.images[i]]
     return tuple(images), pre
+
+
+def anchored_minor_equivalence(f, pair_i, pair_j):
+    """The least ``pi`` with ``pi(pair_j.lo) == pair_i.lo`` carrying the
+    minor for ``pair_j`` onto the minor for ``pair_i``, each candidate read
+    from ``f`` through the pull-back of ``pi`` after the collapse."""
+    n, k, values = f.arity, f.domain_size, f.values
+
+    def pulled_back(images):
+        return tuple(map(values.__getitem__, pullback_remap(k, images, n - 1)))
+
+    d_j = collapse_map(pair_j, n)
+    lhs = pulled_back(collapse_map(pair_i, n).images)
+    positions = [p for p in range(n - 1) if p != pair_j.lo]
+    candidates = [v for v in range(n - 1) if v != pair_i.lo]
+    for combo in permutations(candidates):
+        im = [0] * (n - 1)
+        im[pair_j.lo] = pair_i.lo
+        for p, v in zip(positions, combo):
+            im[p] = v
+        if pulled_back([im[x] for x in d_j.images]) == lhs:
+            return Permutation(tuple(im))
+    return None
+
+
+def ofo_identities(k, max_len, triple_total, ofo=ofo):
+    """``(checked, counterexample)`` of the ``ofo-identities`` suite, one
+    ``ofo`` call per image a check compares."""
+    checked = 0
+    for length in range(max_len + 1):
+        for t in product(range(k), repeat=length):
+            checked += 1
+            if ofo(ofo(t)) != ofo(t):
+                return checked, f"idempotence fails at {render_tuple(t)}"
+    strings = [list(product(range(k), repeat=length)) for length in range(triple_total + 1)]
+    for la in range(triple_total + 1):
+        for lb in range(triple_total - la + 1):
+            for u in strings[la]:
+                for v in strings[lb]:
+                    checked += 1
+                    if ofo(ofo(u) + ofo(v)) != ofo(u + v):
+                        return checked, (
+                            f"product identity fails at u={render_tuple(u)}, "
+                            f"v={render_tuple(v)}"
+                        )
+    for la in range(triple_total + 1):
+        for lb in range(triple_total - la + 1):
+            for lc in range(triple_total - la - lb + 1):
+                for u in strings[la]:
+                    for v in strings[lb]:
+                        for w in strings[lc]:
+                            checked += 1
+                            if ofo(u + ofo(v) + w) != ofo(u + v + w):
+                                return checked, (
+                                    f"associativity fails at u={render_tuple(u)}, "
+                                    f"v={render_tuple(v)}, w={render_tuple(w)}"
+                                )
+    return checked, None
+
+
+def collapse_insertion(k, n, ofo=ofo):
+    """``(checked, counterexample)`` of the ``lemma-ofodeltaI`` suite."""
+    checked = 0
+    for arity in range(2, n + 1):
+        for domain_size in range(1, k + 1):
+            for pair in IndexPair.all_pairs(arity):
+                dm = collapse_map(pair, arity)
+                for t in all_tuples(domain_size, arity - 1):
+                    checked += 1
+                    if ofo(t) != ofo(apply_index_map(t, dm)):
+                        return checked, (
+                            f"k={domain_size}, n={arity}, pair={pair.render()}, "
+                            f"t={render_tuple(t)}"
+                        )
+    return checked, None
+
+
+def lemma_hatsigma(n, collapse_permutation):
+    """``(checked, counterexample)`` of the ``lemma-hatsigma`` suite, with
+    ``collapse_permutation(sigma, pair)`` giving each ``(tau, preimage)``."""
+    checked = 0
+    for arity in range(2, n + 1):
+        for sigma in Permutation.all_perms(arity):
+            for pair in IndexPair.all_pairs(arity):
+                checked += 1
+                tau, pre = collapse_permutation(sigma, pair)
+                lhs = tau.as_index_map().after(collapse_map(pre, arity))
+                rhs = collapse_map(pair, arity).after(sigma.as_index_map())
+                if lhs.images != rhs.images or tau.images[pre.lo] != pair.lo:
+                    return checked, (
+                        f"n={arity}, sigma={sigma.one_line()}, pair={pair.render()}"
+                    )
+    return checked, None

@@ -726,6 +726,12 @@ def test_prop_52_suite_rejects_a_minor_outside_the_orbit(monkeypatch):
     assert report.counterexample == "k=3, m=2: minor for {1,2} is off"
 
 
+def _per_pair(planted):
+    """The row the suite reads for one permutation, with ``planted`` in
+    place of ``collapse_permutation`` at each pair."""
+    return lambda sigma: [planted(sigma, p) for p in IndexPair.all_pairs(sigma.degree)]
+
+
 def test_lemma_hatsigma_suite_rejects_a_wrong_collapse_permutation(monkeypatch):
     # a valid but wrong tau for sigma = [2,1,3] and the pair {1,3}
     # must fail the suite there, not escape it
@@ -738,7 +744,7 @@ def test_lemma_hatsigma_suite_rejects_a_wrong_collapse_permutation(monkeypatch):
             tau = Permutation(tau.images[::-1])
         return tau, pre
 
-    monkeypatch.setattr(symmetry, "collapse_permutation", planted)
+    monkeypatch.setattr(symmetry, "collapse_permutations", _per_pair(planted))
     report = verify_suite("lemma-hatsigma", n=4)
     assert not report.passed
     assert report.counterexample == "n=3, sigma=[2,1,3], pair={1,3}"
@@ -777,7 +783,7 @@ def _preimage_01_at_degree_4():
 ])
 def test_lemma_hatsigma_suite_reports_its_first_counterexample(
         monkeypatch, planted, checked, counterexample):
-    monkeypatch.setattr(symmetry, "collapse_permutation", planted)
+    monkeypatch.setattr(symmetry, "collapse_permutations", _per_pair(planted))
     report = verify_suite("lemma-hatsigma")
     assert (report.checked, report.counterexample) == (checked, counterexample)
 
@@ -825,6 +831,68 @@ def test_ofo_identities_suite_streams_its_idempotence_loop():
     # product and associativity checks
     assert report.passed and report.checked == 2**17 + 1
     assert peak < 2**20
+
+
+# Planted faults early in a suite, in its last block, and, for
+# ofo-identities, images outside the strings the suite codes: each row-at-a-
+# time suite reports what its one-check-at-a-time loop in brute.py reports.
+@pytest.mark.parametrize("planted, params", [
+    (lambda t: (1, 0) if tuple(t) == (0, 1, 0) else ofo(t), {}),
+    (lambda t: (0,) if tuple(t) == () else ofo(t), {"max_len": 0}),
+    (lambda t: ofo(tuple(t)[::-1]) if len(t) == 6 else ofo(t), {}),
+    (lambda t: (1,) if tuple(t) == (2,) * 6 else ofo(t), {}),
+    (lambda t: (3,) if tuple(t) == (1, 2) else ofo(t), {"max_len": 1}),
+    (lambda t: (0,) * 8 if tuple(t) == (0, 0) else ofo(t), {"max_len": 1}),
+    (lambda t: tuple(x + 5 for x in ofo(t)) if len(t) == 4 else ofo(t), {"max_len": 3}),
+    (lambda t: (0, 1, 2, 0, 1, 2) if tuple(t) == (0,) else ofo(t), {"max_len": 0}),
+    (lambda t: ofo(t) + (0,) if len(t) == 3 else ofo(t), {}),
+    # ofo(()) is (0,) and ofo(t) is ofo((0,) + t), except at (0, 1, 0): the
+    # product identity first fails at v = (), u = (1,)
+    (lambda t: (0,) if not t else (1, 0) if tuple(t) == (0, 1, 0) else ofo((0,) + tuple(t)),
+     {"k": 2, "max_len": 2}),
+    # ofo(()) and ofo((0,)) are (0,), and a leading 0 is dropped: every
+    # check with u = () holds, and the first to fail is u = (2), v = ()
+    (lambda t: (0,) if tuple(t) in ((), (0,)) else ofo(tuple(t)[1:]) if t[0] == 0 else ofo(t),
+     {"k": 2, "max_len": 2}),
+    (lambda t: (0, 1, 2) if tuple(t) == (0, 0) else ofo(t),
+     {"k": 4, "max_len": 0, "triple_total": 4}),
+    (ofo, {"k": 2, "max_len": 3, "triple_total": 4}),
+], ids=["early", "empty-image", "length-6", "last-string", "symbol-k", "long-image",
+        "shifted-symbols", "lengthened", "idempotence", "nonempty-empty-image",
+        "leading-zero", "lengthened-k4", "pass"])
+def test_ofo_identities_suite_equals_its_per_check_loop(monkeypatch, planted, params):
+    monkeypatch.setattr(analysis, "ofo", planted)
+    report = verify_suite("ofo-identities", **params)
+    args = {"k": 3, "max_len": 4, "triple_total": 6, **params}
+    assert (report.checked, report.counterexample) == brute.ofo_identities(ofo=planted, **args)
+    assert report.passed == (planted is ofo)
+
+
+@pytest.mark.parametrize("planted, params", [
+    (lambda t: (1,) if tuple(t) == (0, 0) else ofo(t), {}),
+    (lambda t: ofo(t)[::-1] if tuple(t) == (2,) * 5 else ofo(t), {}),
+    (lambda t: ofo(t)[::-1] if tuple(t) == (0, 1, 2, 3, 3) else ofo(t), {"k": 4}),
+    (lambda t: ofo(t)[::-1] if tuple(t) == (0, 1, 2) else ofo(t), {}),
+    (ofo, {"k": 2, "n": 6}),
+], ids=["early", "last-block", "last-pair", "repeat-free", "pass"])
+def test_lemma_ofodeltai_suite_equals_its_per_check_loop(monkeypatch, planted, params):
+    monkeypatch.setattr(analysis, "ofo", planted)
+    report = verify_suite("lemma-ofodeltaI", **params)
+    args = {"k": 3, "n": 5, **params}
+    assert (report.checked, report.counterexample) == brute.collapse_insertion(ofo=planted, **args)
+
+
+@pytest.mark.parametrize("planted", [
+    _reversed_tau_at((1, 0, 2), IndexPair(0, 2)),
+    _reversed_tau_at((5, 4, 3, 2, 1, 0), IndexPair(0, 5)),
+    _reversed_tau_at((5, 4, 3, 2, 1, 0), IndexPair(4, 5)),
+    _preimage_01_at_degree_4(),
+    symmetry.collapse_permutation,
+], ids=["early", "last-permutation", "last-check", "preimage", "pass"])
+def test_lemma_hatsigma_suite_equals_its_per_pair_loop(monkeypatch, planted):
+    monkeypatch.setattr(symmetry, "collapse_permutations", _per_pair(planted))
+    report = verify_suite("lemma-hatsigma")
+    assert (report.checked, report.counterexample) == brute.lemma_hatsigma(6, planted)
 
 
 def test_classifier_guards_its_remap_size(monkeypatch):

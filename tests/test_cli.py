@@ -320,10 +320,13 @@ def test_verify_rejects_work_beyond_the_suite_guard(argv, capsys):
         ["--suite", "renaming-invariance", "--b", "0"],
         ["--suite", "ofo-identities", "--k", "0"],
         ["--suite", "ofo-identities", "--k", "-1"],
+        ["--suite", "ofo-identities", "--max-len", "-2"],
+        ["--suite", "ofo-identities", "--triple-total", "-1"],
     ],
     ids=["lemma-hatsigma", "lemma-ofodeltaI", "prop-ofominor", "uim-2st",
          "prop-suppord", "renaming-invariance", "ofo-identities-k0",
-         "ofo-identities-k-1"],
+         "ofo-identities-k-1", "ofo-identities-max-len-2",
+         "ofo-identities-triple-total-1"],
 )
 def test_verify_rejects_a_run_that_checks_nothing(argv, capsys):
     assert cli.main(["verify", *argv]) == 2

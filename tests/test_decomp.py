@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import brute
+from uimlab.analysis import _block_tables, _representative
 from uimlab.construct import sporadic_function, sporadic_partial_function
 from uimlab.decomp import (
     OfoTable,
@@ -20,7 +21,7 @@ from uimlab.decomp import (
     supp_table_to_json_obj,
 )
 from uimlab.ftable import FunctionTable, restrict_to_repeats
-from uimlab.tuples import IndexPair, Permutation, all_tuples
+from uimlab.tuples import IndexPair, Permutation, all_tuples, ofo
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 MAJ4 = FunctionTable.from_callable(2, 2, 4, lambda t: int(sum(t) >= 2))
@@ -248,6 +249,38 @@ def test_anchored_equivalence_probe_can_fail():
     proj = FunctionTable.from_callable(2, 2, 3, lambda t: t[0])
     # collapsing {1,2} keeps the projection; collapsing {2,3} does not align
     assert anchored_minor_equivalence(proj, IndexPair(0, 1), IndexPair(1, 2)) is None
+
+
+def _anchored_cases():
+    """The tables ``prop-suppord`` asks for anchored witnesses at (2,2,4) and
+    (2,3,4), the ofo-determined ones at (2,2,4), the sporadic table of
+    domain size 3, where some pairs of pairs have none, seeded tables
+    symmetric in their first two positions, where some witnesses are not
+    the first candidate, and seeded tables at (2,2,4)."""
+    for k, b, n, key in ((2, 2, 4, frozenset), (2, 3, 4, frozenset), (2, 2, 4, ofo)):
+        for vals in _block_tables(_representative(map(key, all_tuples(k, n))), b):
+            yield FunctionTable(k, b, n, vals)
+    yield sporadic_function(3)
+    rng = random.Random(7)
+    for k, b, n in ((2, 2, 5), (3, 2, 4)):
+        values = {}
+        yield FunctionTable(k, b, n, tuple(
+            values.setdefault(tuple(sorted(t[:2])) + t[2:], rng.randrange(b))
+            for t in all_tuples(k, n)))
+    for _ in range(24):
+        yield FunctionTable(2, 2, 4, tuple(rng.randrange(2) for _ in range(16)))
+
+
+def test_anchored_equivalence_equals_the_per_candidate_pullbacks():
+    answers = []
+    for f in _anchored_cases():
+        for pair_i in IndexPair.all_pairs(f.arity):
+            for pair_j in IndexPair.all_pairs(f.arity):
+                pi = anchored_minor_equivalence(f, pair_i, pair_j)
+                assert pi == brute.anchored_minor_equivalence(f, pair_i, pair_j)
+                answers.append(pi)
+    assert None in answers
+    assert any(pi is not None and pi.images != tuple(range(len(pi.images))) for pi in answers)
 
 
 def test_supp_table_json_round_trip():

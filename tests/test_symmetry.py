@@ -147,6 +147,22 @@ def test_collapse_permutation_equals_the_brute_force_loop(n):
             assert (tau.images, pre) == brute.collapse_permutation(sigma, pair)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_collapse_permutations_equals_the_per_pair_calls(n):
+    pairs = list(IndexPair.all_pairs(n))
+    for sigma in Permutation.all_perms(n):
+        row = symmetry.collapse_permutations(sigma)
+        assert len(row) == len(pairs)
+        for (tau, pre), pair in zip(row, pairs):
+            one_tau, one_pre = collapse_permutation(sigma, pair)
+            assert tau is one_tau and pre is one_pre
+
+
+def test_collapse_permutations_rejects_a_degree_below_2():
+    with pytest.raises(ValueError, match="degree >= 2"):
+        symmetry.collapse_permutations(Permutation.identity(1))
+
+
 def test_collapse_permutation_rejects_a_degree_below_2_or_a_pair_beyond_it():
     with pytest.raises(ValueError, match="degree >= 2"):
         collapse_permutation(Permutation.identity(1), IndexPair(0, 1))

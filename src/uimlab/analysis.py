@@ -10,10 +10,11 @@ through neither route), and ``NOT-UIM``.
 
 The search harness classifies a complete table space (or a seeded sample of
 one) and reports category counts plus every OTHER witness verbatim.  OTHER
-witnesses of arity above domain_size + 1 are flagged prominently: no such
-table is expected to exist, and finding one would be the interesting outcome,
-not an error.  Reports are deterministic given (parameters, seed); the
-fingerprint hashes everything except wall-clock timing.
+witnesses of arity above domain_size + 1 are flagged prominently: such a
+table lies beyond the source paper's examples (one of shape (3, 2, 5) is in
+``tests/data``), and is not an error.  Reports are deterministic given
+(parameters, seed); the fingerprint hashes everything except wall-clock
+timing.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import (
     accumulate, chain, compress, count, groupby, islice, permutations, product,
+    starmap,
 )
 from multiprocessing import get_context
 from operator import itemgetter, ne
@@ -38,6 +40,7 @@ from .ftable import TABLE_SIZE_GUARD, FunctionTable, canonical_dumps
 from .tuples import (
     IndexPair,
     Permutation,
+    _tuple_getter,
     all_tuples,
     collapse_map,
     decode,
@@ -112,14 +115,6 @@ def _categorize(uim: bool, two_set_transitive: bool, equiv_ofo: bool) -> str:
     if equiv_ofo:
         return "OFO-EQ"
     return "OTHER"
-
-
-def _tuple_getter(remap):
-    """``itemgetter(*remap)``, but a tuple also for a single index."""
-    if len(remap) == 1:
-        (i,) = remap
-        return lambda vals: (vals[i],)
-    return itemgetter(*remap)
 
 
 def _join(labels, remap):
@@ -353,14 +348,6 @@ class TableClassifier:
             else:
                 out.append(s)
         return out
-
-    def two_set_transitive(self, vals) -> bool:
-        """Does some permutation leaving ``vals`` unchanged send {0, 1} onto
-        each pair?  Pair 0 is skipped, since the identity qualifies there,
-        and the test stops at the first pair without one."""
-        return all(
-            self.invariant_perm_ids(vals, entries) for entries in self.pair_perm_entries[1:]
-        )
 
     def invariance_summary(self, vals):
         """``(invariance group order, 2-set-transitive)`` from one pass over
@@ -827,45 +814,11 @@ def _whole_space(k, b, n):
     return enumerate(product(range(b), repeat=k**n))
 
 
-class _OfoMemo(dict):
-    """``memo[t]`` is ``ofo(t)``, formed on the first request for ``t``;
-    ``ofo`` is looked up when it is called."""
-
-    def __missing__(self, t):
-        image = self[t] = ofo(t)
-        return image
-
-
-def _ofo_products(memo, us, vs):
-    """The product identity at each ``(u, v)`` of ``us`` × ``vs`` in turn,
-    read through ``memo``: the checks made and the first counterexample."""
-    made = 0
-    for u in us:
-        ou = memo[u]
-        for v in vs:
-            made += 1
-            if memo[ou + memo[v]] != memo[u + v]:
-                return made, (
-                    f"product identity fails at u={render_tuple(u)}, v={render_tuple(v)}"
-                )
-    return made, None
-
-
-def _ofo_associativity(memo, us, vs, ws):
-    """Associativity at each ``(u, v, w)`` of ``us`` × ``vs`` × ``ws`` in
-    turn, as :func:`_ofo_products` checks the product identity."""
-    made = 0
-    for u in us:
-        for v in vs:
-            left, whole = u + memo[v], u + v
-            for w in ws:
-                made += 1
-                if memo[left + w] != memo[whole + w]:
-                    return made, (
-                        f"associativity fails at u={render_tuple(u)}, "
-                        f"v={render_tuple(v)}, w={render_tuple(w)}"
-                    )
-    return made, None
+def _first_difference(left, right):
+    """The index of the first unequal entry of ``left`` and ``right``, or
+    ``None`` if there is none; a side that runs out first is a
+    ``ValueError``."""
+    return next(compress(count(), starmap(ne, zip(left, right, strict=True))), None)
 
 
 class _OfoImages:
@@ -938,9 +891,10 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     over every ``v``, or of ``ofo(u + ofo(v) + w)`` over every ``(v, w)``,
     as one list against a slice of the keys of ``ofo(u + v)`` or
     ``ofo(u + v + w)``.  At ``v = ()`` one row covers every ``u``.  A row
-    that differs, or that runs outside the coded strings, is checked again
-    one ``(u, v, w)`` at a time through an ``ofo`` memo, which names the
-    first counterexample; the checks are counted in that loop order."""
+    that runs outside the coded strings is built from the ``ofo`` images
+    themselves.  A row holds its checks in loop order, and two keys are
+    equal exactly when their images are, so the first unequal entry of a
+    row that differs names the first counterexample and the checks made."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     for name, length in (("max_len", max_len), ("triple_total", triple_total)):
@@ -966,14 +920,6 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     top = triple_total
     coded = _OfoImages(k, top)
     images, offsets, counts = coded.images, coded.offsets, coded.counts
-    memo = _OfoMemo()
-    strings = {}
-
-    def of_length(length):
-        if length not in strings:
-            strings[length] = list(product(range(k), repeat=length))
-        return strings[length]
-
     # ofo(()) is (): at v = () the rows of every u are one row
     empty_fixed = images[0] == 0
     for la in range(top + 1):
@@ -986,16 +932,21 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
                 continue
             middles, most = coded.middles(lb) or (None, None)
             for iu, ou in enumerate(ous):
-                if middles is not None and ou >= 0:
-                    lo = bisect_right(offsets, ou) - 1
-                    if (lo + most <= top and coded.spliced(lo, ou - offsets[lo], middles, most, 0)
-                            == images[base + iu * width:base + iu * width + width]):
-                        checked += width
-                        continue
-                made, failure = _ofo_products(memo, [of_length(la)[iu]], of_length(lb))
-                checked += made
-                if failure:
-                    return checked, failure
+                lo = bisect_right(offsets, ou) - 1
+                if middles is not None and ou >= 0 and lo + most <= top:
+                    left = coded.spliced(lo, ou - offsets[lo], middles, most, 0)
+                    right = images[base + iu * width:base + iu * width + width]
+                else:
+                    u, vs = decode(iu, la, k), list(all_tuples(k, lb))
+                    left = [ofo(ofo(u) + ofo(v)) for v in vs]
+                    right = [ofo(u + v) for v in vs]
+                if left != right:
+                    at = _first_difference(left, right)
+                    return checked + at + 1, (
+                        f"product identity fails at u={render_tuple(decode(iu, la, k))}, "
+                        f"v={render_tuple(decode(at, lb, k))}"
+                    )
+                checked += width
     for la in range(top + 1):
         for lb in range(top - la + 1):
             middles, most = coded.middles(lb) or (None, None)
@@ -1008,15 +959,23 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
                     continue
                 reads = None if middles is None else _cuts(middles, counts[lc])
                 for iu in range(counts[la]):
-                    if reads is not None and coded.spliced(la, iu, reads, most, lc) == (
-                            images[base + iu * width:base + iu * width + width]):
-                        checked += width
-                        continue
-                    made, failure = _ofo_associativity(
-                        memo, [of_length(la)[iu]], of_length(lb), of_length(lc))
-                    checked += made
-                    if failure:
-                        return checked, failure
+                    if reads is not None:
+                        left = coded.spliced(la, iu, reads, most, lc)
+                        right = images[base + iu * width:base + iu * width + width]
+                    else:
+                        u = decode(iu, la, k)
+                        vws = list(product(all_tuples(k, lb), all_tuples(k, lc)))
+                        left = [ofo(u + ofo(v) + w) for v, w in vws]
+                        right = [ofo(u + v + w) for v, w in vws]
+                    if left != right:
+                        at = _first_difference(left, right)
+                        v, w = divmod(at, counts[lc])
+                        return checked + at + 1, (
+                            f"associativity fails at u={render_tuple(decode(iu, la, k))}, "
+                            f"v={render_tuple(decode(v, lb, k))}, "
+                            f"w={render_tuple(decode(w, lc, k))}"
+                        )
+                    checked += width
     return checked, None
 
 
@@ -1058,7 +1017,7 @@ def _suite_collapse_insertion(k=3, n=5):
                     collapsed = map(ofo, map(itemgetter(*images),
                                              all_tuples(domain_size, arity - 1)))
                     shorter = map(ofo, all_tuples(domain_size, arity - 1))
-                at = next(compress(count(), map(ne, collapsed, shorter)), None)
+                at = _first_difference(collapsed, shorter)
                 if at is not None:
                     return checked + at + 1, (
                         f"k={domain_size}, n={arity}, pair={pair.render()}, "
@@ -1107,9 +1066,10 @@ def _suite_collapse_permutation(n=6):
     Each permutation is checked a row at a time: ``collapse_permutations``
     gives its tau and preimage for every pair, and both sides of each
     identity are compared as one list over the pairs, read through getters
-    built once per collapse map of an arity and once per permutation.  Only
-    a row that differs is walked again, pair by pair, to name its first
-    failing pair; the checks are counted in the order of that walk."""
+    built once per collapse map of an arity and once per permutation.  The
+    first pair at which a row that differs is unequal names the
+    counterexample and the checks made; a row of the wrong length is a
+    ``ValueError``."""
     _guard_suite("lemma-hatsigma", (
         math.factorial(arity) * math.comb(arity, 2) for arity in range(2, n + 1)
     ))
@@ -1124,19 +1084,16 @@ def _suite_collapse_permutation(n=6):
             after_pre[pair.lo][pair.hi] = itemgetter(*d_pair)
         for sigma in Permutation.all_perms(arity):
             row = symmetry.collapse_permutations(sigma)
-            after_sigma = itemgetter(*sigma.images)
-            if ([after_pre[pre.lo][pre.hi](tau.images) for tau, pre in row]
-                    == list(map(after_sigma, collapse))
-                    and [tau.images[pre.lo] for tau, pre in row] == merged):
-                checked += len(pairs)
-                continue
-            for (tau, pre), pair, d_pair in zip(row, pairs, collapse, strict=True):
-                checked += 1
-                if (after_pre[pre.lo][pre.hi](tau.images) != after_sigma(d_pair)
-                        or tau.images[pre.lo] != pair.lo):
-                    return checked, (
-                        f"n={arity}, sigma={sigma.one_line()}, pair={pair.render()}"
-                    )
+            lhs = [after_pre[pre.lo][pre.hi](tau.images) for tau, pre in row]
+            lands = [tau.images[pre.lo] for tau, pre in row]
+            rhs = list(map(itemgetter(*sigma.images), collapse))
+            if lhs != rhs or lands != merged:
+                at = _first_difference(zip(lhs, lands, strict=True),
+                                       zip(rhs, merged, strict=True))
+                return checked + at + 1, (
+                    f"n={arity}, sigma={sigma.one_line()}, pair={pairs[at].render()}"
+                )
+            checked += len(pairs)
     return checked, None
 
 
@@ -1246,7 +1203,7 @@ def _suite_sporadic_partial(k=4, m=3, alpha=1, beta=0):
                 )
             if base >= 3:
                 checked += 1
-                if ctx.two_set_transitive(pf.values):
+                if ctx.invariance_summary(pf.values)[1]:
                     return checked, f"k={size}, m={base}: restriction is 2-set-transitive"
     return checked, None
 
@@ -1265,7 +1222,7 @@ def _suite_two_set_transitive_uim(k=2, b=2, n=4):
         ctx = _classifier(k, b, arity)
         for vals in ctx.two_set_transitive_tables():
             checked += 1
-            if not (ctx.two_set_transitive(vals) and ctx.has_uim(vals)):
+            if not (ctx.invariance_summary(vals)[1] and ctx.has_uim(vals)):
                 return checked, f"n={arity}, table {encode(vals, b)}"
     return checked, None
 

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .tuples import IndexPair, Permutation, _collapse_images, _collapse_section
+from .tuples import (
+    IndexPair, Permutation, _collapse_images, _collapse_section, _tuple_getter,
+)
 
 __all__ = [
     "PermutationGroup",
@@ -97,13 +99,8 @@ def is_2_set_transitive(group: PermutationGroup) -> bool:
 _permutation = lru_cache(maxsize=8192)(Permutation)
 
 
-@lru_cache(maxsize=256)
-def _getter(positions: tuple):
-    """Reads a tuple at ``positions``, as a tuple also for one position."""
-    if len(positions) == 1:
-        (j,) = positions
-        return lambda t: (t[j],)
-    return itemgetter(*positions)
+# One tuple getter per positions tuple, for the sections of _collapse_taus.
+_getter = lru_cache(maxsize=256)(_tuple_getter)
 
 
 @lru_cache(maxsize=64)

@@ -224,6 +224,14 @@ def apply_index_map(t, m):
     return tuple(t[j] for j in m.images)
 
 
+def _tuple_getter(positions):
+    """``itemgetter(*positions)``, but a tuple also for a single position."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda t: (t[i],)
+    return itemgetter(*positions)
+
+
 def pullback_remap(alphabet, images, target: int) -> list:
     """Index form of pulling back along ``images``: entry ``encode(a)`` is
     ``encode(apply_index_map(a, IndexMap(len(images), target, images)))``,
@@ -287,8 +295,7 @@ def perm_remaps(alphabet, n: int):
                 map(identity.__getitem__, pullback_remap(alphabet, images, n)))
         sigma[i], sigma[j] = sigma[j], sigma[i]
         sigma[i + 1:] = reversed(sigma[i + 1:])
-        # itemgetter of a single index returns the bare entry (k = 1).
-        remap = list(itemgetter(*remap)(step)) if len(remap) > 1 else [step[remap[0]]]
+        remap = list(_tuple_getter(remap)(step))
 
 
 def collapse_map(pair: IndexPair, n: int) -> IndexMap:

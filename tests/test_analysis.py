@@ -10,7 +10,7 @@ from itertools import permutations, product
 import pytest
 
 import brute
-from uimlab import analysis, construct, decomp, symmetry
+from uimlab import analysis, cli, construct, decomp, symmetry
 from uimlab.analysis import (
     RestrictionSummary,
     TableClassifier,
@@ -464,7 +464,6 @@ def test_two_set_transitive_agrees_with_the_brute_force(shape):
     for vals in _two_set_tables(*shape):
         group = brute.invariance_group(FunctionTable(*shape, vals))
         two_set = is_2_set_transitive(group)
-        assert ctx.two_set_transitive(vals) == two_set
         assert ctx.invariance_summary(vals) == (group.order, two_set)
         seen.add(two_set)
     assert seen == ({True} if shape[2] == 2 else {True, False})
@@ -492,7 +491,8 @@ def test_two_set_transitive_tables_filter_the_whole_space(shape, by_brute_force)
         def is_2st(vals):
             return brute.is_2_set_transitive_fn(FunctionTable(*shape, vals))
     else:
-        is_2st = ctx.two_set_transitive
+        def is_2st(vals):
+            return ctx.invariance_summary(vals)[1]
     k, b, n = shape
     expected = [vals for vals in product(range(b), repeat=k**n) if is_2st(vals)]
     assert list(ctx.two_set_transitive_tables()) == expected
@@ -668,7 +668,7 @@ def test_uim_2st_suite_rejects_a_planted_fault(monkeypatch):
     # a supp-determined (2,2,4) table, 1 exactly off the diagonal, is 2ST;
     # flagging it as failing at the pair {0, 2} must fail the suite there
     target = compose_supp(SuppTable.from_values(2, 2, 2, (0, 0, 1)), 4).values
-    assert TableClassifier(2, 2, 4).two_set_transitive(target)
+    assert TableClassifier(2, 2, 4).invariance_summary(target)[1]
     first_failing_pair = TableClassifier.first_failing_pair
 
     def planted(self, vals, orbit):
@@ -685,12 +685,13 @@ def test_uim_2st_suite_tests_each_built_table_for_2st_again(monkeypatch):
     # after the 16 tables of arity 3 and those before it at arity 4
     built = list(TableClassifier(2, 2, 4).two_set_transitive_tables())
     target = built[5]
-    two_set_transitive = TableClassifier.two_set_transitive
+    invariance_summary = TableClassifier.invariance_summary
 
     def planted(self, vals):
-        return vals != target and two_set_transitive(self, vals)
+        order, two_set = invariance_summary(self, vals)
+        return order, vals != target and two_set
 
-    monkeypatch.setattr(TableClassifier, "two_set_transitive", planted)
+    monkeypatch.setattr(TableClassifier, "invariance_summary", planted)
     report = verify_suite("uim-2st")
     assert (report.passed, report.checked) == (False, 16 + 6)
     assert report.counterexample == f"n=4, table {encode(target, 2)}"
@@ -699,13 +700,13 @@ def test_uim_2st_suite_tests_each_built_table_for_2st_again(monkeypatch):
 def test_uim_2st_suite_tests_only_the_2st_tables(monkeypatch):
     # 16 tables at arity 3 and 32 at arity 4, not every table of both spaces
     calls = []
-    two_set_transitive = TableClassifier.two_set_transitive
+    invariance_summary = TableClassifier.invariance_summary
 
     def counted(self, vals):
         calls.append(vals)
-        return two_set_transitive(self, vals)
+        return invariance_summary(self, vals)
 
-    monkeypatch.setattr(TableClassifier, "two_set_transitive", counted)
+    monkeypatch.setattr(TableClassifier, "invariance_summary", counted)
     assert verify_suite("uim-2st").passed
     assert len(calls) == 48
 
@@ -750,6 +751,19 @@ def test_lemma_hatsigma_suite_rejects_a_wrong_collapse_permutation(monkeypatch):
     assert report.counterexample == "n=3, sigma=[2,1,3], pair={1,3}"
 
 
+@pytest.mark.parametrize("resize", [lambda row: row[:-1], lambda row: row + row[:1]],
+                         ids=["short", "long"])
+def test_lemma_hatsigma_suite_rejects_a_row_of_the_wrong_length(monkeypatch, capsys, resize):
+    # every entry the row has is right, so only its length is wrong
+    collapse_permutations = symmetry.collapse_permutations
+    monkeypatch.setattr(symmetry, "collapse_permutations",
+                        lambda sigma: resize(collapse_permutations(sigma)))
+    with pytest.raises(ValueError):
+        verify_suite("lemma-hatsigma", n=4)
+    assert cli.main(["verify", "--suite", "lemma-hatsigma", "--n", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: zip() argument")
+
+
 def _reversed_tau_at(sigma_images, pair):
     collapse_permutation = symmetry.collapse_permutation
 
@@ -788,6 +802,12 @@ def test_lemma_hatsigma_suite_reports_its_first_counterexample(
     assert (report.checked, report.counterexample) == (checked, counterexample)
 
 
+def _constant_images(lengths):
+    """``ofo`` with ``(0,) * lengths[len(t)]`` in place of the image of each
+    ``t`` no longer than 4."""
+    return lambda t: (0,) * lengths[len(t)] if len(t) <= 4 else ofo(t)
+
+
 @pytest.mark.parametrize("planted, params, checked, counterexample", [
     (lambda t: (1, 0) if tuple(t) == (0, 1, 0) else ofo(t), {}, 1257,
      "product identity fails at u=(1), v=(1,2,1)"),
@@ -797,6 +817,12 @@ def test_lemma_hatsigma_suite_reports_its_first_counterexample(
      "product identity fails at u=(), v=(3,2,2)"),
     (lambda t: ofo(t) + (0,) if len(t) == 3 else ofo(t), {}, 14,
      "idempotence fails at (1,1,1)"),
+    (_constant_images((0, 2, 2, 2, 2)), {"k": 1, "max_len": 0, "triple_total": 4}, 25,
+     "associativity fails at u=(), v=(1), w=(1,1,1)"),
+    (_constant_images((2, 2, 2, 2, 2)), {"k": 1, "max_len": 0, "triple_total": 4}, 20,
+     "associativity fails at u=(), v=(), w=(1,1,1)"),
+    (_constant_images((2, 1, 2, 1, 2)), {"k": 1, "max_len": 0, "triple_total": 4}, 21,
+     "associativity fails at u=(), v=(), w=(1,1,1,1)"),
 ])
 def test_ofo_identities_suite_reports_its_first_counterexample(
         monkeypatch, planted, params, checked, counterexample):
@@ -834,8 +860,9 @@ def test_ofo_identities_suite_streams_its_idempotence_loop():
 
 
 # Planted faults early in a suite, in its last block, and, for
-# ofo-identities, images outside the strings the suite codes: each row-at-a-
-# time suite reports what its one-check-at-a-time loop in brute.py reports.
+# ofo-identities, images outside the strings the suite codes and faults
+# first caught by associativity: each row-at-a-time suite reports what its
+# one-check-at-a-time loop in brute.py reports.
 @pytest.mark.parametrize("planted, params", [
     (lambda t: (1, 0) if tuple(t) == (0, 1, 0) else ofo(t), {}),
     (lambda t: (0,) if tuple(t) == () else ofo(t), {"max_len": 0}),
@@ -856,10 +883,19 @@ def test_ofo_identities_suite_streams_its_idempotence_loop():
      {"k": 2, "max_len": 2}),
     (lambda t: (0, 1, 2) if tuple(t) == (0, 0) else ofo(t),
      {"k": 4, "max_len": 0, "triple_total": 4}),
+    (_constant_images((0, 2, 2, 2, 2)), {"k": 1, "max_len": 0, "triple_total": 4}),
+    (_constant_images((2, 2, 2, 2, 2)), {"k": 1, "max_len": 0, "triple_total": 4}),
+    (_constant_images((2, 1, 2, 1, 2)), {"k": 1, "max_len": 0, "triple_total": 4}),
+    # ofo((0,) + t), which satisfies every identity, changed at one string
+    # longer than triple_total: associativity first fails inside the row of
+    # u = v = (), at its 14th w
+    (lambda t: (1,) if tuple(t) == (0, 1, 1, 0, 1) else ofo((0,) + tuple(t)),
+     {"k": 2, "max_len": 0, "triple_total": 4}),
     (ofo, {"k": 2, "max_len": 3, "triple_total": 4}),
 ], ids=["early", "empty-image", "length-6", "last-string", "symbol-k", "long-image",
         "shifted-symbols", "lengthened", "idempotence", "nonempty-empty-image",
-        "leading-zero", "lengthened-k4", "pass"])
+        "leading-zero", "lengthened-k4", "associativity-v", "associativity-w3",
+        "associativity-w4", "associativity-long-image", "pass"])
 def test_ofo_identities_suite_equals_its_per_check_loop(monkeypatch, planted, params):
     monkeypatch.setattr(analysis, "ofo", planted)
     report = verify_suite("ofo-identities", **params)

@@ -892,7 +892,8 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
     as one list against a slice of the keys of ``ofo(u + v)`` or
     ``ofo(u + v + w)``.  At ``v = ()`` one row covers every ``u``.  A row
     that runs outside the coded strings is built from the ``ofo`` images
-    themselves.  A row holds its checks in loop order, and two keys are
+    themselves, with ``ofo(u)`` and each ``ofo(v)`` formed once per row; only
+    a faulty ``ofo`` reaches such a row.  A row holds its checks in loop order, and two keys are
     equal exactly when their images are, so the first unequal entry of a
     row that differs names the first counterexample and the checks made."""
     if k < 1:
@@ -938,7 +939,8 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
                     right = images[base + iu * width:base + iu * width + width]
                 else:
                     u, vs = decode(iu, la, k), list(all_tuples(k, lb))
-                    left = [ofo(ofo(u) + ofo(v)) for v in vs]
+                    ou_t = ofo(u)
+                    left = [ofo(ou_t + ov) for ov in map(ofo, vs)]
                     right = [ofo(u + v) for v in vs]
                 if left != right:
                     at = _first_difference(left, right)
@@ -964,9 +966,9 @@ def _suite_ofo_identities(k=3, max_len=4, triple_total=6):
                         right = images[base + iu * width:base + iu * width + width]
                     else:
                         u = decode(iu, la, k)
-                        vws = list(product(all_tuples(k, lb), all_tuples(k, lc)))
-                        left = [ofo(u + ofo(v) + w) for v, w in vws]
-                        right = [ofo(u + v + w) for v, w in vws]
+                        vs, ws = list(all_tuples(k, lb)), list(all_tuples(k, lc))
+                        left = [ofo(u + ov + w) for ov in map(ofo, vs) for w in ws]
+                        right = [ofo(u + v + w) for v in vs for w in ws]
                     if left != right:
                         at = _first_difference(left, right)
                         v, w = divmod(at, counts[lc])

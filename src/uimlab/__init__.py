@@ -12,6 +12,7 @@ from .analysis import (
     SearchReport,
     SuiteReport,
     classify,
+    equiv_to_ofo_determined,
     has_uim,
     invariance_group,
     search,
@@ -30,7 +31,6 @@ from .decomp import (
     anchored_minor_equivalence,
     compose_ofo,
     compose_supp,
-    equiv_to_ofo_determined,
     ofo_decompose,
     supp_decompose,
 )

@@ -61,6 +61,7 @@ __all__ = [
     "TABLE_SIZE_GUARD",
     "TableClassifier",
     "classify",
+    "equiv_to_ofo_determined",
     "has_uim",
     "invariance_group",
     "sample_index",
@@ -118,9 +119,9 @@ def _categorize(uim: bool, two_set_transitive: bool, equiv_ofo: bool) -> str:
 
 
 def _join(labels, remap):
-    """The finest partition coarser than both ``labels`` and the cycles of
-    ``remap``, a permutation of the positions.  A partition is a tuple of
-    block labels numbered in order of first occurrence."""
+    """The finest partition coarser than ``labels`` with each position x in
+    the block of ``remap[x]``, for any map ``remap`` of the positions.  A
+    partition is a tuple of block labels numbered by first occurrence."""
     parent = list(range(max(labels) + 1))
 
     def find(x):
@@ -216,13 +217,16 @@ class TableClassifier:
         self.ofo_edges = [(f[0], i) for f in fibers for i in f[1:]]
         self.supp_edges = [(f[0], i) for f in by_supp.values() for i in f[1:]]
 
-        # The first remap giving each distinct system of permuted ofo fibers,
-        # identity first; at k = 2 and n >= 3 only n of the n! differ.  The
+        # One remap per distinct system of permuted ofo fibers, identity
+        # first; at k = 2 and n >= 3 only n of the n! differ.  The
         # permutations h whose remaps carry each fiber of more than one input
         # into one such fiber form a group H (the images then refine the
-        # fibers and are as many, so they are the fibers), and sigma gives
-        # the same system as exactly the h∘sigma.  So each system's first
-        # sigma is the first not in an earlier coset.
+        # fibers and are as many, so they are the fibers).  A table factors
+        # through ofo after sigma's pull-back exactly when it is constant on
+        # the blocks {x : ofo(x∘sigma) = w}, the same for exactly the sigma∘h.
+        # Each system keeps its least sigma's id in ``ofo_system_ids`` and
+        # the remap of that sigma's inverse, through which the table is equal
+        # across every ofo edge exactly then.
         label = [None] * self.size
         for f in fibers:
             for x in f:
@@ -239,12 +243,14 @@ class TableClassifier:
             return True
 
         stabiliser = [h for h, r in zip(self.perms, self.perm_remaps) if keeps_fibers(r)]
+        remap_of = dict(zip(self.perms, self.perm_remaps))
         covered = set()
-        self.ofo_systems = []
-        for sig, remap in zip(self.perms, self.perm_remaps):
+        self.ofo_system_ids, self.ofo_systems = [], []
+        for s, sig in enumerate(self.perms):
             if sig not in covered:
-                self.ofo_systems.append(remap)
-                covered.update(map(itemgetter(*sig), stabiliser))
+                self.ofo_system_ids.append(s)
+                self.ofo_systems.append(remap_of[tuple(sorted(range(n), key=sig.__getitem__))])
+                covered.update(itemgetter(*h)(sig) for h in stabiliser)
         # The identity remap alone, for the two fiber tests that read ``vals``
         # as it is.
         self.identity_remaps = self.perm_remaps[:1]
@@ -489,8 +495,26 @@ def invariance_group(f) -> symmetry.PermutationGroup:
     return symmetry.PermutationGroup(f.arity, frozenset(Permutation(ctx.perms[s]) for s in ids))
 
 
+def equiv_to_ofo_determined(f):
+    """The least ``(sigma, f_star)`` with ``f`` equal to ``compose_ofo(f_star,
+    n)`` after the pullback of ``sigma``, or ``None``; undefined entries are
+    skipped, and keys whose fiber misses the domain are flagged unconstrained.
+    The sigmas of an ofo system group the inputs alike, so only each system's
+    least sigma is tried."""
+    if f.arity == 1:
+        return Permutation((0,)), decomp.ofo_decompose(f)
+    ctx = _classifier(f.domain_size, f.codomain_size, f.arity)
+    words = [ofo(t) for t in all_tuples(f.domain_size, f.arity)]
+    for s in ctx.ofo_system_ids:
+        f_star = decomp._decompose(f, map(words.__getitem__, ctx.perm_remaps[s]), f.values,
+                                   decomp._ofo_domain, decomp.OfoTable)
+        if f_star is not None:
+            return Permutation(ctx.perms[s]), f_star
+    return None
+
+
 def classify(f: FunctionTable) -> Classification:
-    """Full classification of a total table.
+    """Full classification of a total table; a partial one is refused.
 
     When the arity does not exceed the alphabet size, the repeat-free part of
     the domain carries no minor information, so the same tests on the
@@ -498,6 +522,8 @@ def classify(f: FunctionTable) -> Classification:
     classifier serves both: there every repeat-free tuple is its own ofo
     fiber, and argument permutations keep the undefined entries undefined.
     """
+    if None in f.values:
+        raise ValueError("classify expects a total table")
     ctx = _classifier(f.domain_size, f.codomain_size, f.arity)
     c = ctx.classify_values(f.values)
     if f.arity <= f.domain_size:

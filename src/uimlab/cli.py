@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict
 
 from . import analysis, construct, ftable
-from .ftable import TableFormatError, canonical_dumps
+from .ftable import canonical_dumps
 from .tuples import IndexPair, ofo, parse_tuple, render_tuple
 
 USAGE_ERROR = 2
@@ -76,8 +76,6 @@ def _classification_obj(c) -> dict:
 
 def cmd_classify(args) -> int:
     f = ftable.load_table(args.file)
-    if None in f.values:
-        raise TableFormatError(f"{args.file}: classify expects a total table")
     c = analysis.classify(f)
     if args.json:
         _print_json(_classification_obj(c))

@@ -1,6 +1,7 @@
 """Factoring tables through the first-occurrence map (``ofo``) and through the
-support map (``supp``), deciding equivalence to such factorizations, and the
-anchored equivalences between identification minors.
+support map (``supp``), and the anchored equivalences between identification
+minors.  Equivalence to an ofo-determined table is decided by
+:func:`uimlab.analysis.equiv_to_ofo_determined`, through the classifier.
 
 A table is *ofo-determined* when its value depends only on the order of first
 occurrence of its input's symbols, i.e. it is constant on every ofo fiber; it
@@ -18,7 +19,6 @@ from .tuples import (
     all_tuples,
     enumerate_repeat_free,
     ofo,
-    perm_remaps,
     pullback_remap,
     render_tuple,
 )
@@ -29,7 +29,6 @@ __all__ = [
     "anchored_minor_equivalence",
     "compose_ofo",
     "compose_supp",
-    "equiv_to_ofo_determined",
     "ofo_decompose",
     "supp_decompose",
     "supp_table_from_json_obj",
@@ -195,31 +194,6 @@ def supp_decompose(f):
     :func:`ofo_decompose`, with symbol sets for keys)."""
     return _decompose(f, map(frozenset, all_tuples(f.domain_size, f.arity)), f.values,
                       _supp_domain, SuppTable)
-
-
-def equiv_to_ofo_determined(f):
-    """Search argument permutations for an ofo-determined table equivalent to
-    ``f``.
-
-    Returns the lexicographically least ``(sigma, f_star)`` such that ``f``
-    equals ``compose_ofo(f_star, n)`` precomposed with the pullback of
-    ``sigma``, or ``None``.  For a partial ``f`` (``None`` entries) the
-    equation holds on the transported domain, and ``f_star`` flags the keys
-    whose fiber misses it as unconstrained.
-
-    Each tuple's ofo word is formed once per call.  Each ``sigma`` reads the
-    words through its pull-back from :func:`~uimlab.tuples.perm_remaps`
-    against the unpermuted table, which pairs the same words and values as
-    reading the table through the pull-back of ``sigma``'s inverse; only the
-    returned ``sigma`` gets its factor table built.
-    """
-    k, n, values = f.domain_size, f.arity, f.values
-    words = [ofo(t) for t in all_tuples(k, n)]
-    for images, remap in perm_remaps(k, n):
-        f_star = _decompose(f, map(words.__getitem__, remap), values, _ofo_domain, OfoTable)
-        if f_star is not None:
-            return Permutation(images), f_star
-    return None
 
 
 def anchored_minor_equivalence(f, pair_i: IndexPair, pair_j: IndexPair):

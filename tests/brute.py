@@ -8,12 +8,12 @@ A table is ofo- (supp-) determined when inputs with the same ofo word
 (support) take the same value, and equivalent to an ofo-determined table
 when one of its n! pull-backs along an argument permutation is; the least
 such permutation, with the factorization of that pull-back, is the witness
-:func:`uimlab.decomp.equiv_to_ofo_determined` returns.  Undefined
+:func:`uimlab.analysis.equiv_to_ofo_determined` returns.  Undefined
 entries of a partial table compare like values, so an invariant permutation
 also carries the domain onto itself.  The distinct systems of permuted ofo
-fibers are found by keying each remap's image of the fibers.  The
-permutation sigma induces on collapsed positions is written entry by entry
-through both collapse maps.  The anchored minor equivalence and three of the
+fibers are found by keying each remap by the blocks it groups the inputs
+into.  The permutation sigma induces on collapsed positions is written
+entry by entry through both collapse maps.  The anchored minor equivalence and three of the
 verification suites are the loops they were before they were made to read a
 row at a time: one check, or one candidate, per step.
 """
@@ -99,15 +99,15 @@ def ofo_witness(f):
 
 def ofo_systems(k, n, remaps):
     """The first of ``remaps`` (one per argument permutation, in order) that
-    gives each distinct system of permuted ofo fibers, keyed by the sorted
-    images of the fibers of more than one input."""
-    by_ofo = {}
-    for i, t in enumerate(all_tuples(k, n)):
-        by_ofo.setdefault(ofo(t), []).append(i)
-    fibers = [f for f in by_ofo.values() if len(f) > 1]
+    gives each distinct witness partition, keyed by its blocks of more than
+    one input: the inputs x grouped by the ofo word of input ``remap[x]``."""
+    words = [ofo(t) for t in all_tuples(k, n)]
     systems = {}
     for remap in remaps:
-        key = frozenset(tuple(sorted(map(remap.__getitem__, f))) for f in fibers)
+        blocks = {}
+        for x, y in enumerate(remap):
+            blocks.setdefault(words[y], []).append(x)
+        key = frozenset(tuple(block) for block in blocks.values() if len(block) > 1)
         systems.setdefault(key, remap)
     return list(systems.values())
 

@@ -15,6 +15,7 @@ from uimlab.analysis import (
     RestrictionSummary,
     TableClassifier,
     classify,
+    equiv_to_ofo_determined,
     has_uim,
     invariance_group,
     sample_index,
@@ -28,7 +29,6 @@ from uimlab.decomp import (
     _ofo_domain,
     compose_ofo,
     compose_supp,
-    equiv_to_ofo_determined,
     ofo_decompose,
     supp_decompose,
 )
@@ -121,6 +121,49 @@ def test_classify_attaches_restriction_at_small_arity():
     assert c.restriction is not None
     assert c.restriction.inv_group_order == 2
     assert c.restriction.ofo_determined  # constant on the defined diagonal
+
+
+def test_classify_refuses_a_partial_table():
+    # the partial sporadic table, defined exactly on the repeat tuples, and
+    # a (2,2,3) table undefined at a repeat tuple
+    vals = list(MAJ3.values)
+    vals[encode((1, 1, 0), 2)] = None
+    for pf in (sporadic_partial_function(3, 2), FunctionTable(2, 2, 3, vals)):
+        with pytest.raises(ValueError, match="classify expects a total table"):
+            classify(pf)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (2, 3, 6), (3, 3, 4)],
+                         ids=["k2b3n4", "k2b3n6", "k3b3n4"])
+def test_2st_and_ofo_equivalence_survive_every_coarsening(shape):
+    # phi ∘ T is invariant under each permutation that T is, and a group
+    # holding a 2-set-transitive group is one; phi ∘ F ∘ ofo is again
+    # ofo-determined, after the same sigma
+    k, b, n = shape
+    ctx = TableClassifier(*shape)
+    rng = random.Random(f"coarsen:{shape}")
+    two_set = rng.sample(list(ctx.two_set_transitive_tables()), 20) if k == 2 else []
+    keys = _ofo_domain(k, min(k, n))
+    perms = list(Permutation.all_perms(n))
+    ofo_eq = [
+        compose_ofo(OfoTable.from_values(k, b, min(k, n), [rng.randrange(b) for _ in keys]),
+                    n).minor_by(rng.choice(perms)).values
+        for _ in range(15)
+    ]
+    def is_2st(vals):
+        return ctx.invariance_summary(vals)[1]
+
+    everything = list(enumerate(ctx.perm_remaps))
+    cases = [(vals, is_2st) for vals in two_set]
+    cases += [(vals, ctx.equiv_ofo_determined) for vals in ofo_eq]
+    for vals, holds in cases:
+        assert holds(vals)
+        group = set(ctx.invariant_perm_ids(vals, everything))
+        for phi in product(range(b), repeat=b):
+            coarse = tuple(phi[v] for v in vals)
+            assert holds(coarse)
+            coarse_group = set(ctx.invariant_perm_ids(coarse, everything))
+            assert group <= coarse_group and len(coarse_group) % len(group) == 0
 
 
 def _agreement_tables(k, b, n):
@@ -272,9 +315,13 @@ def test_perm_remaps_built_by_composition_are_the_pullbacks(shape):
 def test_ofo_systems_by_coset_are_those_of_the_sorted_key_dict(shape):
     k, _, n = shape
     ctx = TableClassifier(*shape)
+    # the least sigma of each witness partition, and the remap of its inverse
     expected = brute.ofo_systems(k, n, ctx.perm_remaps)
-    assert len(ctx.ofo_systems) == len(expected)
-    assert all(got is want for got, want in zip(ctx.ofo_systems, expected))
+    assert len(ctx.ofo_system_ids) == len(ctx.ofo_systems) == len(expected)
+    assert all(ctx.perm_remaps[s] is want for s, want in zip(ctx.ofo_system_ids, expected))
+    for s, remap in zip(ctx.ofo_system_ids, ctx.ofo_systems):
+        inverse = Permutation(ctx.perms[s]).inverse().images
+        assert remap is ctx.perm_remaps[ctx.perms.index(inverse)]
 
 
 def test_classifier_build_peaks_below_3_mib():
@@ -532,6 +579,21 @@ def test_two_set_transitive_tables_keep_a_partition_a_candidate_fixes(monkeypatc
     monkeypatch.setattr(analysis, "_join", counting_join)
     assert sum(1 for _ in TableClassifier(2, 2, 6).two_set_transitive_tables()) == 896
     assert len(calls) <= 4032
+
+
+def test_join_takes_any_map_of_the_positions():
+    # against merging the blocks of x and remap[x] one x at a time, on maps
+    # that are mostly not permutations
+    rng = random.Random("join")
+    for _ in range(200):
+        size = rng.randint(1, 12)
+        labels = analysis._representative(rng.randrange(size) for _ in range(size))
+        remap = [rng.randrange(size) for _ in range(size)]
+        blocks = list(labels)
+        for x, y in enumerate(remap):
+            old, new = blocks[y], blocks[x]
+            blocks = [new if v == old else v for v in blocks]
+        assert analysis._join(labels, remap) == analysis._representative(blocks)
 
 
 def test_two_set_transitive_tables_refuse_more_than_the_guard_at_once():

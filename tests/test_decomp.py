@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 import brute
-from uimlab.analysis import _block_tables, _representative
+from uimlab import analysis
+from uimlab.analysis import _block_tables, _representative, classify, equiv_to_ofo_determined
 from uimlab.construct import sporadic_function, sporadic_partial_function
 from uimlab.decomp import (
     OfoTable,
@@ -14,7 +15,6 @@ from uimlab.decomp import (
     anchored_minor_equivalence,
     compose_ofo,
     compose_supp,
-    equiv_to_ofo_determined,
     ofo_decompose,
     supp_decompose,
     supp_table_from_json_obj,
@@ -188,7 +188,7 @@ def _shown(witness):
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 2, 4), (3, 2, 4),
-                                   (1, 2, 3), (2, 2, 1), (4, 2, 3)])
+                                   (1, 2, 3), (2, 2, 1), (4, 2, 3), (2, 2, 5), (3, 2, 5)])
 def test_equiv_to_ofo_determined_returns_the_brute_force_witness(shape):
     k, b, n = shape
     rng = random.Random(f"witness:{shape}")
@@ -217,9 +217,10 @@ def test_equiv_to_ofo_determined_on_the_sporadic_tables_is_the_brute_force_witne
 
 
 def test_equiv_to_ofo_determined_peaks_below_half_a_mib():
-    # the words, the current sigma's remap and the step remaps, not one
-    # remap per sigma (measured about 0.22 MiB at (4,2,5))
+    # with the shape's classifier built (by classify here), the words and
+    # one fiber dict per ofo system tried (measured about 0.07 MiB at (4,2,5))
     f = sporadic_function(4)
+    classify(f)
     tracemalloc.start()
     try:
         equiv_to_ofo_determined(f)
@@ -227,6 +228,19 @@ def test_equiv_to_ofo_determined_peaks_below_half_a_mib():
     finally:
         tracemalloc.stop()
     assert peak < 2**19
+
+
+def test_equiv_to_ofo_determined_refuses_a_shape_past_the_remap_guard(monkeypatch):
+    # 9! * 2**9 remap entries exceed the guard; the refusal comes before any
+    # permutation is walked
+    def walk(*args):
+        raise AssertionError("walked the permutations")
+
+    monkeypatch.setattr(analysis, "perm_remaps", walk)
+    rng = random.Random(9)
+    f = FunctionTable(2, 2, 9, tuple(rng.randrange(2) for _ in range(2**9)))
+    with pytest.raises(ValueError, match="permutation remap entries .* exceed guard"):
+        equiv_to_ofo_determined(f)
 
 
 def test_anchored_equivalence_same_pair_is_identity():

@@ -40,6 +40,7 @@ from .ftable import TABLE_SIZE_GUARD, FunctionTable, canonical_dumps
 from .tuples import (
     IndexPair,
     Permutation,
+    _collapse_section,
     _tuple_getter,
     all_tuples,
     collapse_map,
@@ -1068,7 +1069,8 @@ def _suite_ofo_factor_minors(k=2, b=2, n=4):
         * b ** min(sum(math.perm(k, i) for i in range(1, min(arity, k, cap) + 1)), cap)
         for arity in range(3, n + 1)
     ))
-    _classifier(k, b, n)  # reach of the largest case, decided first
+    if n >= 3:
+        _classifier(k, b, n)  # reach of the largest case, decided first
     checked = 0
     for arity in range(3, n + 1):
         ctx = _classifier(k, b, arity)
@@ -1091,13 +1093,15 @@ def _suite_collapse_permutation(n=6):
     """The induced permutation on collapsed positions satisfies both of its
     defining identities, for every (permutation, pair) up to arity ``n``.
 
-    Each permutation is checked a row at a time: ``collapse_permutations``
-    gives its tau and preimage for every pair, and both sides of each
-    identity are compared as one list over the pairs, read through getters
-    built once per collapse map of an arity and once per permutation.  The
-    first pair at which a row that differs is unequal names the
-    counterexample and the checks made; a row of the wrong length is a
-    ``ValueError``."""
+    Each permutation is checked a row at a time: ``symmetry._collapse_taus``
+    gives its tau, as a plain tuple, and its preimage for every pair, and
+    both sides of each identity are compared as one list over the pairs,
+    read through getters built once per arity.  No tau is validated as a
+    permutation: where tau ∘ collapse(preimage) equals collapse(pair) ∘ sigma,
+    which maps onto all n - 1 positions, the n - 1 entries of tau take all
+    n - 1 values.  The first pair at which a row that differs is unequal
+    names the counterexample and the checks made; a row of the wrong length
+    is a ``ValueError``."""
     _guard_suite("lemma-hatsigma", (
         math.factorial(arity) * math.comb(arity, 2) for arity in range(2, n + 1)
     ))
@@ -1105,21 +1109,24 @@ def _suite_collapse_permutation(n=6):
     for arity in range(2, n + 1):
         pairs = list(IndexPair.all_pairs(arity))
         collapse = [collapse_map(pair, arity).images for pair in pairs]
+        rows = [(pair.lo, pair.hi, d_pair) for pair, d_pair in zip(pairs, collapse)]
         merged = [pair.lo for pair in pairs]
+        sections = [_tuple_getter(_collapse_section(hi, arity)) for hi in range(arity)]
         # tau ∘ collapse[pre], looked up at [pre.lo][pre.hi]
         after_pre = [[None] * arity for _ in range(arity)]
         for pair, d_pair in zip(pairs, collapse):
             after_pre[pair.lo][pair.hi] = itemgetter(*d_pair)
-        for sigma in Permutation.all_perms(arity):
-            row = symmetry.collapse_permutations(sigma)
-            lhs = [after_pre[pre.lo][pre.hi](tau.images) for tau, pre in row]
-            lands = [tau.images[pre.lo] for tau, pre in row]
-            rhs = list(map(itemgetter(*sigma.images), collapse))
+        for sigma in permutations(range(arity)):
+            row = symmetry._collapse_taus(sigma, rows, sections)
+            lhs = [after_pre[a][b](tau) for tau, a, b in row]
+            lands = [tau[a] for tau, a, _ in row]
+            rhs = list(map(itemgetter(*sigma), collapse))
             if lhs != rhs or lands != merged:
                 at = _first_difference(zip(lhs, lands, strict=True),
                                        zip(rhs, merged, strict=True))
                 return checked + at + 1, (
-                    f"n={arity}, sigma={sigma.one_line()}, pair={pairs[at].render()}"
+                    f"n={arity}, sigma={Permutation(sigma).one_line()}, "
+                    f"pair={pairs[at].render()}"
                 )
             checked += len(pairs)
     return checked, None
@@ -1175,7 +1182,8 @@ def _suite_sporadic_total(k=4, alpha=1, beta=0):
     and (for domain size > 2) trivial invariance group; for every domain
     size from 2 to ``k``."""
     b = max(alpha, beta) + 1
-    _classifier(k, b, k + 1)  # reach of the largest case, decided first
+    if k >= 2:
+        _classifier(k, b, k + 1)  # reach of the largest case, decided first
     checked = 0
     for size in range(2, k + 1):
         ctx = _classifier(size, b, size + 1)
@@ -1206,7 +1214,8 @@ def _suite_sporadic_partial(k=4, m=3, alpha=1, beta=0):
     arity reaches 3; for every domain size k' <= ``k`` and base arity
     2 <= m' <= min(``m``, k' - 1).  Base arity k' is the total family."""
     b = max(alpha, beta) + 1
-    _classifier(k, b, min(m, k - 1) + 1)  # reach of the largest case, decided first
+    if min(m, k - 1) >= 2:
+        _classifier(k, b, min(m, k - 1) + 1)  # reach of the largest case, decided first
     checked = 0
     for size in range(2, k + 1):
         for base in range(2, min(m, size - 1) + 1):
@@ -1243,8 +1252,9 @@ def _suite_two_set_transitive_uim(k=2, b=2, n=4):
     :meth:`TableClassifier.two_set_transitive_tables`, and each is tested
     again on its own to be 2ST as well as to have a unique minor; the
     spaces are bounded as if every table were tested."""
-    _space_size(k, b, n)  # reach of the largest case, decided first
-    _classifier(k, b, n)
+    if n >= 3:
+        _space_size(k, b, n)  # reach of the largest case, decided first
+        _classifier(k, b, n)
     checked = 0
     for arity in range(3, n + 1):
         ctx = _classifier(k, b, arity)

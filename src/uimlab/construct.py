@@ -24,6 +24,7 @@ from .ftable import (
     FunctionTable,
     TableFormatError,
     _read_json,
+    _require_ints,
     _table_size,
     canonical_dumps,
 )
@@ -272,9 +273,17 @@ def spec_to_json_obj(spec: GluingSpec) -> dict:
     }
 
 
+def _int_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple, refused unless it is a list of integers."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise TableFormatError(f"gluing spec: {what} is not a list of integers")
+    return tuple(values)
+
+
 def spec_from_json_obj(obj) -> GluingSpec:
     if not isinstance(obj, dict):
         raise TableFormatError("gluing spec: expected a JSON object")
+    _require_ints(obj, ("domain_size", "codomain_size", "base_arity"), "gluing spec")
     try:
         k = obj["domain_size"]
         b = obj["codomain_size"]
@@ -290,7 +299,7 @@ def spec_from_json_obj(obj) -> GluingSpec:
                 for key, vals in obj["minors"].items()
             },
             twists={
-                _parse_pair_key(key): Permutation(tuple(images))
+                _parse_pair_key(key): Permutation(_int_tuple(images, f"twist {key!r}"))
                 for key, images in obj["twists"].items()
             },
             pairing={

@@ -11,7 +11,7 @@ is *supp-determined* when the value depends only on the set of symbols.
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
-from .ftable import FunctionTable, TableFormatError
+from .ftable import FunctionTable, TableFormatError, _require_ints
 from .tuples import (
     IndexPair,
     Permutation,
@@ -248,13 +248,19 @@ def supp_table_to_json_obj(t: SuppTable) -> dict:
 
 
 def supp_table_from_json_obj(obj) -> SuppTable:
+    if not isinstance(obj, dict):
+        raise TableFormatError("supp table: expected a JSON object")
+    _require_ints(obj, ("domain_size", "codomain_size", "max_size"), "supp table")
+    entries = obj.get("entries")
+    if not isinstance(entries, dict):
+        raise TableFormatError("supp table: missing or non-object field 'entries'")
+    for key, v in entries.items():
+        if type(v) is not int:  # JSON's true and false load as bools
+            raise TableFormatError(f"supp table: entry {key!r} is not an integer")
     try:
-        entries = {
-            frozenset(int(p) for p in key.split(",")): v
-            for key, v in obj["entries"].items()
-        }
         return SuppTable(
-            obj["domain_size"], obj["codomain_size"], obj["max_size"], entries
+            obj["domain_size"], obj["codomain_size"], obj["max_size"],
+            {frozenset(int(p) for p in key.split(",")): v for key, v in entries.items()},
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise TableFormatError(f"bad supp table object: {exc}") from exc

@@ -248,14 +248,20 @@ def table_to_json_obj(table) -> dict:
     }
 
 
+def _require_ints(obj, keys, where: str) -> None:
+    """Refuse a JSON object whose field ``key`` is missing or not an integer,
+    for each of ``keys``."""
+    for key in keys:
+        if type(obj.get(key)) is not int:  # JSON's true and false load as bools
+            raise TableFormatError(f"{where}: missing or non-integer field {key!r}")
+
+
 def table_from_json_obj(obj, where: str = "table"):
     """Parse a table object into a :class:`FunctionTable`; a ``null`` entry
     becomes ``None``, an undefined input."""
     if not isinstance(obj, dict):
         raise TableFormatError(f"{where}: expected a JSON object")
-    for key in ("domain_size", "codomain_size", "arity"):
-        if type(obj.get(key)) is not int:  # JSON's true and false load as bools
-            raise TableFormatError(f"{where}: missing or non-integer field {key!r}")
+    _require_ints(obj, ("domain_size", "codomain_size", "arity"), where)
     values = obj.get("values")
     if not isinstance(values, list):
         raise TableFormatError(f"{where}: missing or non-list field 'values'")

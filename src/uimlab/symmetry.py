@@ -1,12 +1,12 @@
 """Permutation groups, 2-set-transitivity of a group, and the permutation
-induced on collapsed argument positions: :func:`collapse_permutation` for
-one pair, :func:`collapse_permutations` for every pair of one permutation.
+induced on collapsed argument positions, :func:`collapse_permutation`; its
+kernel :func:`_collapse_taus` gives the plain tuples for many pairs of one
+permutation at once, as the ``lemma-hatsigma`` suite reads them.
 A table's invariance group is built by
 :func:`uimlab.analysis.invariance_group`.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .tuples import (
@@ -16,7 +16,6 @@ from .tuples import (
 __all__ = [
     "PermutationGroup",
     "collapse_permutation",
-    "collapse_permutations",
     "is_2_set_transitive",
 ]
 
@@ -93,51 +92,25 @@ def is_2_set_transitive(group: PermutationGroup) -> bool:
     return len(orbit) == n * (n - 1) // 2
 
 
-# The tau that collapse_permutation(s) return, one validated Permutation per
-# distinct images tuple.  8192 holds every tau of degree up to 7 (the sum of
-# d! for d <= 7 is 5913).
-_permutation = lru_cache(maxsize=8192)(Permutation)
-
-
-# One tuple getter per positions tuple, for the sections of _collapse_taus.
-_getter = lru_cache(maxsize=256)(_tuple_getter)
-
-
-@lru_cache(maxsize=64)
-def _collapse_rows(n: int) -> tuple:
-    """``(lo, hi, collapse images)`` for every pair of degree ``n``, in
-    :meth:`IndexPair.all_pairs` order."""
-    return tuple((p.lo, p.hi, _collapse_images(p.lo, p.hi, n)) for p in IndexPair.all_pairs(n))
-
-
-@lru_cache(maxsize=64)
-def _preimages(n: int) -> list:
-    """``_preimages(n)[lo][hi]`` is ``IndexPair(lo, hi)``, one object per
-    pair of degree ``n``."""
-    return [[IndexPair(lo, hi) if lo < hi else None for hi in range(n)] for lo in range(n)]
-
-
-def _collapse_taus(sigma: Permutation, rows) -> list:
-    """``(tau, preimage)`` of :func:`collapse_permutation` for each pair
-    ``(lo, hi, collapse images)`` of ``rows``.  ``sigma``'s inverse, the
-    getter of its images and the section getter of each collapsed position
-    are formed once for all of them."""
-    images = sigma.images
+def _collapse_taus(images, rows, sections) -> list:
+    """``(tau, a, b)`` for each row ``(lo, hi, collapse images)`` of ``rows``,
+    for the permutation with one-line ``images``: ``{a, b}`` with ``a < b`` is
+    the preimage of the pair ``{lo, hi}``, and the tuple ``tau`` is the
+    collapse map of the pair after the permutation, read through
+    ``sections[b]`` at the least preimage of each collapsed position.  The
+    inverse of the permutation and the getter of its images are formed once
+    for all the rows."""
     n = len(images)
     where = [0] * n
     for i, v in enumerate(images):
         where[v] = i
     after_sigma = itemgetter(*images)
-    # read[hi] takes d_pair ∘ sigma at the least preimage of each collapsed
-    # position of a preimage whose larger member is hi
-    read = [_getter(_collapse_section(hi, n)) for hi in range(n)]
-    preimages = _preimages(n)
     out = []
     for lo, hi, d_pair in rows:
         a, b = where[lo], where[hi]
         if a > b:
             a, b = b, a
-        out.append((_permutation(read[b](after_sigma(d_pair))), preimages[a][b]))
+        out.append((sections[b](after_sigma(d_pair)), a, b))
     return out
 
 
@@ -154,25 +127,16 @@ def collapse_permutation(sigma: Permutation, pair: IndexPair):
     merged position of ``pair``.  The ``lemma-hatsigma`` verification suite
     checks both identities.
 
-    ``tau`` is read off at the least preimage of each collapsed position
-    (a memoized section of ``collapse_map(preimage, n)``) and built through
-    a memo, so each distinct tau is validated once and returned as the same
-    :class:`Permutation` after; the preimage is a memoized :class:`IndexPair`.
+    ``tau`` is read off by :func:`_collapse_taus` at the least preimage of
+    each collapsed position, and is validated as a :class:`Permutation` on
+    every call.
     """
     n = sigma.degree
     if n < 2:
         raise ValueError("need degree >= 2")
     if pair.hi >= n:
         raise ValueError(f"pair {pair.render()} out of range for degree {n}")
-    (out,) = _collapse_taus(sigma, [(pair.lo, pair.hi, _collapse_images(pair.lo, pair.hi, n))])
-    return out
-
-
-def collapse_permutations(sigma: Permutation) -> list:
-    """``collapse_permutation(sigma, pair)`` for every pair of ``sigma``'s
-    degree, in :meth:`IndexPair.all_pairs` order, from one inverse of
-    ``sigma`` and one getter of its images."""
-    n = sigma.degree
-    if n < 2:
-        raise ValueError("need degree >= 2")
-    return _collapse_taus(sigma, _collapse_rows(n))
+    sections = [_tuple_getter(_collapse_section(hi, n)) for hi in range(n)]
+    ((tau, a, b),) = _collapse_taus(
+        sigma.images, [(pair.lo, pair.hi, _collapse_images(pair.lo, pair.hi, n))], sections)
+    return Permutation(tau), IndexPair(a, b)

@@ -320,7 +320,6 @@ def _collapse_images(lo: int, hi: int, n: int) -> tuple:
     return tuple(l if l < hi else (lo if l == hi else l - 1) for l in range(n))
 
 
-@lru_cache(maxsize=256)
 def _collapse_section(hi: int, n: int) -> tuple:
     """For each collapsed position, the least position that
     :func:`_collapse_images` maps onto it.  Position ``lo`` is its own least

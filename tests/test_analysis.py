@@ -789,63 +789,90 @@ def test_prop_52_suite_rejects_a_minor_outside_the_orbit(monkeypatch):
     assert report.counterexample == "k=3, m=2: minor for {1,2} is off"
 
 
+def _planted_kernel(planted):
+    """A stand-in for ``symmetry._collapse_taus`` that passes each row's
+    ``(tau, preimage)`` through ``planted(sigma, pair, tau, preimage)``.  The
+    rows come from the kernel captured here, before the stand-in is patched
+    in, so it does not call itself."""
+    kernel = symmetry._collapse_taus
+
+    def planted_kernel(images, rows, sections):
+        sigma = Permutation(images)
+        out = []
+        for (lo, hi, _), (tau, a, b) in zip(rows, kernel(images, rows, sections), strict=True):
+            tau, pre = planted(sigma, IndexPair(lo, hi), tau, IndexPair(a, b))
+            out.append((tau, pre.lo, pre.hi))
+        return out
+    return planted_kernel
+
+
 def _per_pair(planted):
-    """The row the suite reads for one permutation, with ``planted`` in
-    place of ``collapse_permutation`` at each pair."""
-    return lambda sigma: [planted(sigma, p) for p in IndexPair.all_pairs(sigma.degree)]
+    """``collapse_permutation`` with ``planted`` applied to each result, as
+    the brute-force loop takes it; to be run before the kernel is patched."""
+    def one(sigma, pair):
+        tau, pre = symmetry.collapse_permutation(sigma, pair)
+        tau, pre = planted(sigma, pair, tau.images, pre)
+        return Permutation(tau), pre
+    return one
+
+
+def _reversed_tau_at(sigma_images, pair):
+    def planted(sigma, p, tau, pre):
+        if (sigma.images, p) == (sigma_images, pair):
+            tau = tau[::-1]
+        return tau, pre
+    return planted
+
+
+def _preimage_01_at_degree_4():
+    def planted(sigma, p, tau, pre):
+        if sigma.degree == 4 and sigma.images[0] == 0:
+            pre = IndexPair(0, 1)
+        return tau, pre
+    return planted
+
+
+def _unplanted(sigma, pair, tau, pre):
+    return tau, pre
 
 
 def test_lemma_hatsigma_suite_rejects_a_wrong_collapse_permutation(monkeypatch):
     # a valid but wrong tau for sigma = [2,1,3] and the pair {1,3}
     # must fail the suite there, not escape it
-    collapse_permutation = symmetry.collapse_permutation
-    target = (Permutation((1, 0, 2)), IndexPair(0, 2))
-
-    def planted(sigma, pair):
-        tau, pre = collapse_permutation(sigma, pair)
-        if (sigma, pair) == target:
-            tau = Permutation(tau.images[::-1])
-        return tau, pre
-
-    monkeypatch.setattr(symmetry, "collapse_permutations", _per_pair(planted))
+    monkeypatch.setattr(symmetry, "_collapse_taus",
+                        _planted_kernel(_reversed_tau_at((1, 0, 2), IndexPair(0, 2))))
     report = verify_suite("lemma-hatsigma", n=4)
     assert not report.passed
     assert report.counterexample == "n=3, sigma=[2,1,3], pair={1,3}"
+
+
+def test_lemma_hatsigma_suite_rejects_a_tau_that_is_not_a_permutation(monkeypatch):
+    # at sigma = [2,1,4,3] and the pair {2,3}, whose preimage is {1,4}, tau
+    # is [2,1,3]; [2,1,1] still sends the merged position 1 to 2, so only
+    # the first identity can see that it repeats an entry
+    def planted(sigma, p, tau, pre):
+        if (sigma.images, p) == ((1, 0, 3, 2), IndexPair(1, 2)):
+            assert (tau, pre) == ((1, 0, 2), IndexPair(0, 3))
+            tau = (1, 0, 0)
+        return tau, pre
+
+    monkeypatch.setattr(symmetry, "_collapse_taus", _planted_kernel(planted))
+    report = verify_suite("lemma-hatsigma", n=4)
+    assert (report.checked, report.counterexample) == (
+        2 + 6 * 3 + 7 * 6 + 4, "n=4, sigma=[2,1,4,3], pair={2,3}")
 
 
 @pytest.mark.parametrize("resize", [lambda row: row[:-1], lambda row: row + row[:1]],
                          ids=["short", "long"])
 def test_lemma_hatsigma_suite_rejects_a_row_of_the_wrong_length(monkeypatch, capsys, resize):
     # every entry the row has is right, so only its length is wrong
-    collapse_permutations = symmetry.collapse_permutations
-    monkeypatch.setattr(symmetry, "collapse_permutations",
-                        lambda sigma: resize(collapse_permutations(sigma)))
+    kernel = symmetry._collapse_taus
+    monkeypatch.setattr(symmetry, "_collapse_taus",
+                        lambda images, rows, sections: resize(kernel(images, rows, sections)))
     with pytest.raises(ValueError):
         verify_suite("lemma-hatsigma", n=4)
     assert cli.main(["verify", "--suite", "lemma-hatsigma", "--n", "4"]) == 2
     assert capsys.readouterr().err.startswith("error: zip() argument")
-
-
-def _reversed_tau_at(sigma_images, pair):
-    collapse_permutation = symmetry.collapse_permutation
-
-    def planted(sigma, p):
-        tau, pre = collapse_permutation(sigma, p)
-        if (sigma.images, p) == (sigma_images, pair):
-            tau = Permutation(tau.images[::-1])
-        return tau, pre
-    return planted
-
-
-def _preimage_01_at_degree_4():
-    collapse_permutation = symmetry.collapse_permutation
-
-    def planted(sigma, p):
-        tau, pre = collapse_permutation(sigma, p)
-        if sigma.degree == 4 and sigma.images[0] == 0:
-            pre = IndexPair(0, 1)
-        return tau, pre
-    return planted
 
 
 # The first counterexample, and the checks made up to it, are those of the
@@ -859,7 +886,7 @@ def _preimage_01_at_degree_4():
 ])
 def test_lemma_hatsigma_suite_reports_its_first_counterexample(
         monkeypatch, planted, checked, counterexample):
-    monkeypatch.setattr(symmetry, "collapse_permutations", _per_pair(planted))
+    monkeypatch.setattr(symmetry, "_collapse_taus", _planted_kernel(planted))
     report = verify_suite("lemma-hatsigma")
     assert (report.checked, report.counterexample) == (checked, counterexample)
 
@@ -985,12 +1012,13 @@ def test_lemma_ofodeltai_suite_equals_its_per_check_loop(monkeypatch, planted, p
     _reversed_tau_at((5, 4, 3, 2, 1, 0), IndexPair(0, 5)),
     _reversed_tau_at((5, 4, 3, 2, 1, 0), IndexPair(4, 5)),
     _preimage_01_at_degree_4(),
-    symmetry.collapse_permutation,
+    _unplanted,
 ], ids=["early", "last-permutation", "last-check", "preimage", "pass"])
 def test_lemma_hatsigma_suite_equals_its_per_pair_loop(monkeypatch, planted):
-    monkeypatch.setattr(symmetry, "collapse_permutations", _per_pair(planted))
+    expected = brute.lemma_hatsigma(6, _per_pair(planted))
+    monkeypatch.setattr(symmetry, "_collapse_taus", _planted_kernel(planted))
     report = verify_suite("lemma-hatsigma")
-    assert (report.checked, report.counterexample) == brute.lemma_hatsigma(6, planted)
+    assert (report.checked, report.counterexample) == expected
 
 
 def test_classifier_guards_its_remap_size(monkeypatch):

@@ -204,6 +204,44 @@ def test_construct_gpphi_rejects_bad_spec(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _set(path, value):
+    """A change to a spec object: the field at ``path`` becomes ``value``."""
+    def change(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_set(["codomain_size"], True), "gluing spec: missing or non-integer field 'codomain_size'"),
+        (_set(["domain_size"], True), "gluing spec: missing or non-integer field 'domain_size'"),
+        (_set(["base_arity"], True), "gluing spec: missing or non-integer field 'base_arity'"),
+        (_set(["base", "max_size"], True), "supp table: missing or non-integer field 'max_size'"),
+        (_set(["base", "codomain_size"], True),
+         "supp table: missing or non-integer field 'codomain_size'"),
+        (_set(["base", "entries", "0,1"], False), "supp table: entry '0,1' is not an integer"),
+        (_set(["minors", "0,1", 1], True), "value True is a bool, not an integer"),
+        (_set(["twists", "1,2", 0], True), "gluing spec: twist '1,2' is not a list of integers"),
+    ],
+    ids=["codomain-size", "domain-size", "base-arity", "base-max-size",
+         "base-codomain-size", "base-entry", "minor-value", "twist-image"],
+)
+def test_construct_gpphi_rejects_a_json_bool(tmp_path, capsys, change, message):
+    # each bool equals the integer it replaces, so only its type is wrong
+    obj = spec_to_json_obj(sporadic_spec(2))
+    change(obj)
+    spec_path = tmp_path / "bool.json"
+    spec_path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    assert cli.main(["construct", "gpphi", "--spec", str(spec_path), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_gpphi_reports_violations(tmp_path, capsys):
     obj = spec_to_json_obj(sporadic_spec(2))
     obj["minors"]["0,1"][0] = 1  # breaks agreement with the base at (1,1)
@@ -309,6 +347,17 @@ def test_verify_rejects_work_beyond_the_suite_guard(argv, capsys):
     assert "suite guard" in capsys.readouterr().err
 
 
+# Parameters whose range of cases is empty: the run says so, and builds no
+# classifier for a case outside the range.
+EMPTY_RANGES = [
+    ["--suite", "prop-ofominor", "--n", "1"],
+    ["--suite", "uim-2st", "--n", "1"],
+    ["--suite", "prop-42", "--k", "0"],
+    ["--suite", "prop-52", "--m", "0"],
+    ["--suite", "prop-52", "--k", "1"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -322,17 +371,21 @@ def test_verify_rejects_work_beyond_the_suite_guard(argv, capsys):
         ["--suite", "ofo-identities", "--k", "-1"],
         ["--suite", "ofo-identities", "--max-len", "-2"],
         ["--suite", "ofo-identities", "--triple-total", "-1"],
+        *EMPTY_RANGES,
     ],
     ids=["lemma-hatsigma", "lemma-ofodeltaI", "prop-ofominor", "uim-2st",
          "prop-suppord", "renaming-invariance", "ofo-identities-k0",
          "ofo-identities-k-1", "ofo-identities-max-len-2",
-         "ofo-identities-triple-total-1"],
+         "ofo-identities-triple-total-1", "prop-ofominor-n1", "uim-2st-n1",
+         "prop-42-k0", "prop-52-m0", "prop-52-k1"],
 )
 def test_verify_rejects_a_run_that_checks_nothing(argv, capsys):
     assert cli.main(["verify", *argv]) == 2
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert captured.err.startswith("error: ")
+    if argv in EMPTY_RANGES:
+        assert captured.err == f"error: suite {argv[1]!r} made no checks with these parameters\n"
 
 
 def test_search_human_output(capsys):

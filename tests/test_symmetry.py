@@ -8,7 +8,7 @@ from uimlab.analysis import invariance_group
 from uimlab.decomp import SuppTable, compose_supp
 from uimlab.ftable import FunctionTable, restrict_to_repeats
 from uimlab.symmetry import PermutationGroup, collapse_permutation, is_2_set_transitive
-from uimlab.tuples import IndexPair, Permutation, collapse_map
+from uimlab.tuples import IndexPair, Permutation, _collapse_section, _tuple_getter, collapse_map
 
 MAJ3 = FunctionTable(2, 2, 3, (0, 0, 0, 1, 0, 1, 1, 1))
 PROJ1_2 = FunctionTable(2, 2, 2, (0, 0, 1, 1))
@@ -148,19 +148,16 @@ def test_collapse_permutation_equals_the_brute_force_loop(n):
 
 
 @pytest.mark.parametrize("n", range(2, 8))
-def test_collapse_permutations_equals_the_per_pair_calls(n):
+def test_collapse_taus_equals_the_per_pair_calls(n):
     pairs = list(IndexPair.all_pairs(n))
+    rows = [(pair.lo, pair.hi, collapse_map(pair, n).images) for pair in pairs]
+    sections = [_tuple_getter(_collapse_section(hi, n)) for hi in range(n)]
     for sigma in Permutation.all_perms(n):
-        row = symmetry.collapse_permutations(sigma)
+        row = symmetry._collapse_taus(sigma.images, rows, sections)
         assert len(row) == len(pairs)
-        for (tau, pre), pair in zip(row, pairs):
-            one_tau, one_pre = collapse_permutation(sigma, pair)
-            assert tau is one_tau and pre is one_pre
-
-
-def test_collapse_permutations_rejects_a_degree_below_2():
-    with pytest.raises(ValueError, match="degree >= 2"):
-        symmetry.collapse_permutations(Permutation.identity(1))
+        for (tau, a, b), pair in zip(row, pairs):
+            assert type(tau) is tuple and a < b
+            assert (Permutation(tau), IndexPair(a, b)) == collapse_permutation(sigma, pair)
 
 
 def test_collapse_permutation_rejects_a_degree_below_2_or_a_pair_beyond_it():
@@ -170,17 +167,7 @@ def test_collapse_permutation_rejects_a_degree_below_2_or_a_pair_beyond_it():
         collapse_permutation(Permutation.identity(3), IndexPair(1, 3))
 
 
-def test_collapse_permutation_returns_one_tau_object_per_image():
-    taus = {}
-    for sigma in Permutation.all_perms(5):
-        for pair in IndexPair.all_pairs(5):
-            tau, _ = collapse_permutation(sigma, pair)
-            assert taus.setdefault(tau.images, tau) is tau
-    assert len(taus) == 24
-
-
 def test_collapse_permutation_validates_a_tau_it_has_not_seen(monkeypatch):
-    symmetry._permutation.cache_clear()
     monkeypatch.setattr(symmetry, "_collapse_section", lambda hi, n: (0,) * (n - 1))
     with pytest.raises(ValueError, match="not a permutation"):
         collapse_permutation(Permutation((1, 2, 0)), IndexPair(0, 1))

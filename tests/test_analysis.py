@@ -1222,6 +1222,12 @@ def test_search_expands_other_representatives_to_every_renaming(monkeypatch, thr
 @pytest.mark.parametrize(
     "args, kwargs, fingerprint",
     [
+        ((2, 2, 2), {},
+         "17e17561067d2eab9d20a36b5a42bc383c904eb712c0269e2d35429d67b5631b"),
+        ((2, 3, 2), {},
+         "a62f89dd35b6c9bf9df17f1d418db43fa07bf402be067489c57a20a9dbc80ffd"),
+        ((3, 2, 2), {},
+         "4e0ccf910f1cb96dadd3e1857ed1ccc4caaa72cd350f4ac4fda38abdf6e62ab2"),
         ((2, 2, 3), {},
          "06cd5be3dd7a92299ee8f242ca0ed59d2ed831c895e37acd37e7ae72ea11e33e"),
         ((3, 3, 2), {},
@@ -1239,7 +1245,8 @@ def test_search_expands_other_representatives_to_every_renaming(monkeypatch, thr
         ((2, 2, 6), {"mode": "sampled", "seed": 0, "samples": 150},
          "bb4da78ebde7e16238e47ac826290c9aa8bea5468b44dd51240ec5ebe04f77ad"),
     ],
-    ids=["k2b2n3-exhaustive", "k3b3n2-exhaustive", "k2b4n3-exhaustive",
+    ids=["k2b2n2-exhaustive", "k2b3n2-exhaustive", "k3b2n2-exhaustive",
+         "k2b2n3-exhaustive", "k3b3n2-exhaustive", "k2b4n3-exhaustive",
          "k2b3n3-exhaustive", "k2b5n3-exhaustive", "k2b2n4-exhaustive",
          "k2b2n5-sampled", "k2b2n6-sampled"],
 )

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -270,6 +271,21 @@ def test_readme_suite_table_matches_the_suites():
     for name, defaults in documented.items():
         params = inspect.signature(analysis._SUITES[name]).parameters.values()
         assert defaults == {p.name: p.default for p in params}, name
+
+
+def test_every_readme_command_parses():
+    # each `uimlab ...` line of a code block, with a loop's variable read at
+    # the loop's first value
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL):
+        first = dict(re.findall(r"\bfor (\w+) in (\S+)", block))
+        lines += [re.sub(r"\$\{?(\w+)\}?", lambda m: first[m.group(1)], line.strip())
+                  for line in block.splitlines() if line.strip().startswith("uimlab ")]
+    assert any("search_k2_b2_n2.json" in line for line in lines)
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_verify_pass(capsys):

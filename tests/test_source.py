@@ -1,13 +1,15 @@
 """Checks on the package source itself, made with ``ast`` since no linter is
-installed."""
+installed, and on the repository paths README.md names."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import uimlab
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in Path(uimlab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
@@ -55,3 +57,12 @@ def test_every_private_module_name_is_read_outside_its_definition():
               if not any(name in r for i, r in enumerate(reads) if i != at)]
     assert defined
     assert unread == []
+
+
+def test_every_path_the_readme_names_exists():
+    # an inline code span such as `tests/brute.py` names a file of the repository
+    readme = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(),
+                    flags=re.MULTILINE | re.DOTALL)
+    paths = re.findall(r"`([\w.-]+(?:/[\w.-]+)+)`", readme)
+    assert paths
+    assert [p for p in paths if not (ROOT / p).exists()] == []
